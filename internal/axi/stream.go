@@ -168,14 +168,16 @@ func (s *Stream) PushBurstAsync(beats []Beat, done func()) {
 			s.pushRetry(beats, done)
 			return
 		}
-		n := s.capacity - s.count
-		if n > len(beats) {
-			n = len(beats)
+		n := min(s.capacity-s.count, len(beats))
+		// The free region starts at the tail and wraps at most once:
+		// copy it as two contiguous segments.
+		tail := s.head + s.count
+		if tail >= s.capacity {
+			tail -= s.capacity
 		}
-		for _, b := range beats[:n] {
-			s.buf[(s.head+s.count)%s.capacity] = b
-			s.count++
-		}
+		k := copy(s.buf[tail:], beats[:n])
+		copy(s.buf, beats[k:n])
+		s.count += n
 		s.pushed += uint64(n)
 		beats = beats[n:]
 		s.notEmpty.Fire()
@@ -199,7 +201,9 @@ func (s *Stream) PopBurstAsync(dst []Beat, done func(n int)) {
 	n := 0
 	for n < len(dst) && s.count > 0 {
 		b := s.buf[s.head]
-		s.head = (s.head + 1) % s.capacity
+		if s.head++; s.head == s.capacity {
+			s.head = 0
+		}
 		s.count--
 		dst[n] = b
 		n++

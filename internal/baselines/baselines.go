@@ -141,9 +141,7 @@ func (s Spec) Transfer(p *sim.Proc, icap *fpga.ICAP, words []uint32) sim.Time {
 		if end > len(words) {
 			end = len(words)
 		}
-		for _, w := range words[i:end] {
-			icap.WriteWord(w)
-		}
+		icap.WriteWords(words[i:end])
 		credit += s.cpwNum * (end - i)
 		p.Sleep(sim.Time(credit / s.cpwDen))
 		credit %= s.cpwDen

@@ -171,67 +171,82 @@ func (c *Controller) status() uint32 {
 // are big-endian on the wire, so the first word of a beat comes from its
 // low-address bytes interpreted most-significant-byte first.
 func (c *Controller) startConverter() {
-	// Continuation state machine replacing the converter process: each
-	// burst pop, word-pacing delay and TLAST pulse is one scheduled event
-	// at the cycle the process implementation woke on, so the datapath
-	// traverses the converter without coroutine switches.
-	burst := make([]axi.Beat, dma.DefaultBurstBeats)
-	var step func()
-	var afterPop func(int)
-	var fireStep func()
-	step = func() { c.icapIn.PopBurstAsync(burst, afterPop) }
-	fireStep = func() {
+	cv := &converter{
+		c:     c,
+		burst: make([]axi.Beat, dma.DefaultBurstBeats),
+		words: make([]uint32, 0, 2*dma.DefaultBurstBeats),
+	}
+	cv.step = func() { c.icapIn.PopBurstAsync(cv.burst, cv.afterPop) }
+	cv.fireStep = func() {
 		//lint:ignore wait-graph icapDone is the public completion pulse exposed via ICAPDone(); its waiters live outside the non-test module surface (driver tests and API consumers)
 		c.icapDone.Fire()
-		step()
+		cv.step()
 	}
-	afterPop = func(got int) {
-		words := 0
-		last := false
-		for _, beat := range burst[:got] {
-			if beat.Keep == axi.FullKeep {
-				// Both halves valid: big-endian word = byte-swapped
-				// little-endian half.
-				c.icap.WriteWord(bits.ReverseBytes32(uint32(beat.Data)))
-				c.icap.WriteWord(bits.ReverseBytes32(uint32(beat.Data >> 32)))
-				words += 2
-			} else {
-				for half := 0; half < 2; half++ {
-					var w uint32
-					valid := false
-					for i := 0; i < 4; i++ {
-						lane := half*4 + i
-						if beat.Keep&(1<<lane) != 0 {
-							valid = true
-						}
-						w = w<<8 | uint32(byte(beat.Data>>(8*lane)))
+	cv.afterPop = cv.onBurst
+	c.k.Schedule(0, cv.step)
+}
+
+// converter is the AXIS2ICAP continuation state machine replacing the
+// converter process: each burst pop, word-pacing delay and TLAST pulse
+// is one scheduled event at the cycle the process implementation woke
+// on, so the datapath traverses the converter without coroutine
+// switches. The continuations are bound once, at startConverter.
+type converter struct {
+	c        *Controller
+	burst    []axi.Beat
+	words    []uint32 // the popped burst unpacked into configuration words
+	step     func()
+	fireStep func()
+	afterPop func(int)
+}
+
+// onBurst unpacks the popped burst into configuration words and hands
+// them to the ICAP in one call.
+//
+//lint:hot
+func (cv *converter) onBurst(got int) {
+	cv.words = cv.words[:0]
+	last := false
+	for _, beat := range cv.burst[:got] {
+		if beat.Keep == axi.FullKeep {
+			// Both halves valid: big-endian word = byte-swapped
+			// little-endian half.
+			cv.words = append(cv.words,
+				bits.ReverseBytes32(uint32(beat.Data)),
+				bits.ReverseBytes32(uint32(beat.Data>>32)))
+		} else {
+			for half := 0; half < 2; half++ {
+				var w uint32
+				valid := false
+				for i := 0; i < 4; i++ {
+					lane := half*4 + i
+					if beat.Keep&(1<<lane) != 0 {
+						valid = true
 					}
-					if !valid {
-						continue
-					}
-					c.icap.WriteWord(w)
-					words++
+					w = w<<8 | uint32(byte(beat.Data>>(8*lane)))
+				}
+				if valid {
+					cv.words = append(cv.words, w)
 				}
 			}
-			if beat.Last {
-				last = true
-			}
 		}
-		// One cycle per 32-bit word, charged in a single delay; the
-		// TLAST pulse lands on the same absolute cycle as with
-		// per-word pacing.
-		switch {
-		case words > 0 && last:
-			c.k.Schedule(sim.Time(words), fireStep)
-		case words > 0:
-			c.k.Schedule(sim.Time(words), step)
-		case last:
-			fireStep()
-		default:
-			step()
+		if beat.Last {
+			last = true
 		}
 	}
-	c.k.Schedule(0, step)
+	cv.c.icap.WriteWords(cv.words)
+	// One cycle per 32-bit word, charged in a single delay; the TLAST
+	// pulse lands on the same absolute cycle as with per-word pacing.
+	switch n := len(cv.words); {
+	case n > 0 && last:
+		cv.c.k.Schedule(sim.Time(n), cv.fireStep)
+	case n > 0:
+		cv.c.k.Schedule(sim.Time(n), cv.step)
+	case last:
+		cv.fireStep()
+	default:
+		cv.step()
+	}
 }
 
 // ICAPWordsDelivered returns the words the converter has written to the

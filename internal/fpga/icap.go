@@ -1,9 +1,11 @@
 package fpga
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // 7-series configuration packet constants (UG470 ch. 5). The bitstream
@@ -80,10 +82,11 @@ var (
 )
 
 // ICAP is the internal configuration access port: a 32-bit write port
-// into the device's configuration engine. WriteWord is purely functional
-// — callers (the AXIS2ICAP converter, the HWICAP IP, baseline
-// controllers) pace it at the physical rate of one word per 100 MHz
-// cycle, which is exactly the paper's 400 MB/s theoretical ceiling.
+// into the device's configuration engine. WriteWord and its burst form
+// WriteWords are purely functional — callers (the AXIS2ICAP converter,
+// the HWICAP IP, baseline controllers) pace them at the physical rate of
+// one word per 100 MHz cycle, which is exactly the paper's 400 MB/s
+// theoretical ceiling.
 type ICAP struct {
 	fab *Fabric
 
@@ -232,6 +235,44 @@ func (ic *ICAP) flushCRC() {
 func (ic *ICAP) resetCRC() {
 	ic.crc = 0
 	ic.crcPend = ic.crcPend[:0]
+}
+
+// WriteWords feeds ws into the configuration engine in order; it is
+// exactly equivalent to calling WriteWord on each word. FDRI payload
+// words of a synced, WCFG-enabled, error-free engine are taken a run at
+// a time — up to the end of the packet payload, of ws, or of the frame
+// being collected — with the run's CRC bytes serialised in one loop and
+// its words copied straight into the frame buffer. Every other word
+// (headers, registers, commands, errors) takes the WriteWord path.
+//
+//lint:hot
+func (ic *ICAP) WriteWords(ws []uint32) {
+	for len(ws) > 0 {
+		if ic.payload == 0 || !ic.synced || ic.preg != RegFDRI || !ic.wcfg || ic.abort {
+			ic.WriteWord(ws[0])
+			ws = ws[1:]
+			continue
+		}
+		n := min(ic.payload, len(ws), FrameWords-len(ic.cur))
+		run := ws[:n]
+		ws = ws[n:]
+		ic.words += uint64(n)
+		ic.payload -= n
+		off := len(ic.crcPend)
+		ic.crcPend = slices.Grow(ic.crcPend, 5*n)[:off+5*n]
+		b := ic.crcPend[off:]
+		for i, w := range run {
+			b[5*i] = RegFDRI
+			binary.LittleEndian.PutUint32(b[5*i+1:], w)
+		}
+		if len(ic.crcPend) >= crcFlushLen {
+			ic.flushCRC()
+		}
+		ic.cur = append(ic.cur, run...)
+		if len(ic.cur) == FrameWords {
+			ic.frameDone()
+		}
+	}
 }
 
 // WriteWord feeds one 32-bit word into the configuration engine.
@@ -423,14 +464,19 @@ func (ic *ICAP) fdriWord(w uint32) {
 		return
 	}
 	ic.cur = append(ic.cur, w)
-	if len(ic.cur) < FrameWords {
-		return
+	if len(ic.cur) == FrameWords {
+		ic.frameDone()
 	}
-	// A frame is complete: commit the previous one (if any) and hold
-	// this one in the pipeline. The committed frame's storage is
-	// recycled as the next collection buffer (WriteFrame copies), so
-	// the steady-state frame flow ping-pongs two buffers instead of
-	// allocating one per frame.
+}
+
+// frameDone advances the FDRI pipeline once cur holds a complete frame:
+// the previous frame (if any) commits and this one is held in the
+// pipeline. The committed frame's storage is recycled as the next
+// collection buffer (WriteFrame copies), so the steady-state frame flow
+// ping-pongs two buffers instead of allocating one per frame.
+//
+//lint:hot
+func (ic *ICAP) frameDone() {
 	full := ic.cur
 	switch {
 	case ic.pend != nil:
@@ -454,7 +500,7 @@ func (ic *ICAP) commit(frame []uint32) {
 		ic.fail(err)
 		return
 	}
-	if part := ic.fab.partOf(ic.farIdx); part != nil {
+	if part := ic.fab.Owner(ic.farIdx); part != nil {
 		ic.partWrite[part]++
 	} else {
 		ic.staticWr++

@@ -70,7 +70,7 @@ type Fabric struct {
 	Mem *ConfigMemory
 
 	parts  []*Partition
-	byIdx  map[int]*Partition
+	owner  []*Partition // by linear frame index; nil = static
 	sigs   map[uint64]string
 	onLoad []func(p *Partition, module string)
 }
@@ -80,7 +80,7 @@ func NewFabric(dev *Device) *Fabric {
 	return &Fabric{
 		Dev:   dev,
 		Mem:   NewConfigMemory(dev),
-		byIdx: make(map[int]*Partition),
+		owner: make([]*Partition, dev.TotalFrames()),
 		sigs:  make(map[uint64]string),
 	}
 }
@@ -111,13 +111,13 @@ func (f *Fabric) AddPartition(name string, frames []int, reserve, span Resources
 		if i > 0 && sorted[i-1] == idx {
 			return nil, fmt.Errorf("fpga: partition %s has duplicate frame %d", name, idx)
 		}
-		if other, taken := f.byIdx[idx]; taken {
+		if other := f.owner[idx]; other != nil {
 			return nil, fmt.Errorf("fpga: frame %d already in partition %s", idx, other.Name)
 		}
 		p.frameSet[idx] = struct{}{}
 	}
 	for _, idx := range sorted {
-		f.byIdx[idx] = p
+		f.owner[idx] = p
 	}
 	f.parts = append(f.parts, p)
 	return p, nil
@@ -136,12 +136,15 @@ func (f *Fabric) Partition(name string) *Partition {
 	return nil
 }
 
-func (f *Fabric) partOf(idx int) *Partition { return f.byIdx[idx] }
-
 // Owner returns the partition owning frame idx, or nil for static (or
 // out-of-device) frames. The frame-granular allocator scans it to find
 // free fabric.
-func (f *Fabric) Owner(idx int) *Partition { return f.byIdx[idx] }
+func (f *Fabric) Owner(idx int) *Partition {
+	if idx < 0 || idx >= len(f.owner) {
+		return nil
+	}
+	return f.owner[idx]
+}
 
 // RemovePartition releases p's frames back to the static fabric and
 // forgets the partition. The configuration memory is untouched — the
@@ -160,7 +163,7 @@ func (f *Fabric) RemovePartition(p *Partition) error {
 		return fmt.Errorf("fpga: partition %s not on this fabric", p.Name)
 	}
 	for _, idx := range p.frames {
-		delete(f.byIdx, idx)
+		f.owner[idx] = nil
 	}
 	f.parts = append(f.parts[:at], f.parts[at+1:]...)
 	return nil
@@ -183,7 +186,7 @@ func (f *Fabric) OnModuleLoaded(fn func(p *Partition, module string)) {
 func (f *Fabric) endOfSequence() {
 	dirty := f.Mem.TakeDirty()
 	for _, idx := range dirty {
-		if p := f.byIdx[idx]; p != nil {
+		if p := f.owner[idx]; p != nil {
 			p.touched = true
 		}
 	}

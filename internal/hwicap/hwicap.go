@@ -224,9 +224,7 @@ func (h *HWICAP) startDrain() {
 			if n > 16 {
 				n = 16
 			}
-			for _, w := range h.fifo[:n] {
-				h.icap.WriteWord(w)
-			}
+			h.icap.WriteWords(h.fifo[:n])
 			h.fifo = h.fifo[n:]
 			h.words += uint64(n)
 			h.k.Schedule(sim.Time(n), step)

@@ -128,9 +128,7 @@ func (r *Runtime) movableRegion(reg *place.Region) bool {
 // blanking) straight into the ICAP port, charging the port time. A
 // latched configuration-engine error surfaces as a load fault.
 func (r *Runtime) icapLoad(p *sim.Proc, words []uint32) error {
-	for _, w := range words {
-		r.s.ICAP.WriteWord(w)
-	}
+	r.s.ICAP.WriteWords(words)
 	p.Sleep(sim.Time(len(words) / icapWordsPerCycle))
 	if err := r.s.ICAP.Err(); err != nil {
 		return fmt.Errorf("%w: maintenance load: %v", errLoadFaulty, err)
