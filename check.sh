@@ -27,13 +27,14 @@ go test -run TestCycleEquivalenceLegacyVsCalendar -count=1 .
 
 echo '== rvcap-bench parallel determinism + -json smoke'
 # The parallel experiment engine must be invisible in the results: the
-# fig3 sweep rows (and the BENCH_*.json files built from them) have to
-# be byte-identical for every worker count.
+# fig3 sweep rows, AXI_HWICAP series included (and the BENCH_*.json
+# files built from them), have to be byte-identical for every worker
+# count.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/rvcap-bench" ./cmd/rvcap-bench
-"$tmp/rvcap-bench" -experiment fig3 -skip-hwicap -parallel 1 -json -outdir "$tmp/p1" > /dev/null
-"$tmp/rvcap-bench" -experiment fig3 -skip-hwicap -parallel 4 -json -outdir "$tmp/p4" > /dev/null
+"$tmp/rvcap-bench" -experiment fig3 -parallel 1 -json -outdir "$tmp/p1" > /dev/null
+"$tmp/rvcap-bench" -experiment fig3 -parallel 4 -json -outdir "$tmp/p4" > /dev/null
 cmp "$tmp/p1/BENCH_fig3.json" "$tmp/p4/BENCH_fig3.json"
 "$tmp/rvcap-bench" -experiment fig4 -json -outdir "$tmp/smoke" > /dev/null
 test -s "$tmp/smoke/BENCH_fig4.json"

@@ -11,11 +11,12 @@ import (
 )
 
 // renderEquivalenceArtifacts regenerates every paper artifact the repo
-// produces — Table 1/2/4, the Fig. 3 sweep, the scheduling sweep, the
-// faults sweep — plus the full VCD trace and filtered image of the
-// determinism scenario, all on whichever event queue sim.DefaultQueue
-// currently selects, and returns them as formatted strings (traces as
-// SHA-256 digests) keyed by artifact name.
+// produces — Table 1/2/4, the Fig. 3 sweep (RV-CAP and AXI_HWICAP
+// series), the scheduling sweep, the faults sweep — plus the full VCD
+// trace and filtered image of the determinism scenario, all on
+// whichever event queue sim.DefaultQueue currently selects, and returns
+// them as formatted strings (traces as SHA-256 digests) keyed by
+// artifact name.
 func renderEquivalenceArtifacts(t *testing.T) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
@@ -38,7 +39,7 @@ func renderEquivalenceArtifacts(t *testing.T) map[string]string {
 	}
 	out["table4"] = experiments.FormatTable4(t4)
 
-	fig3, err := experiments.Fig3(experiments.Fig3Options{SkipHWICAP: true, Unroll: 16, Parallel: 1})
+	fig3, err := experiments.Fig3(experiments.Fig3Options{Unroll: 16, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -409,7 +409,22 @@ func TestRegFileHooksAndAlignment(t *testing.T) {
 		if err := rf.Write(p, 0x10, w[:]); !errors.Is(err, ErrSlave) {
 			t.Errorf("8-byte reg write err = %v, want ErrSlave", err)
 		}
+		// Unhooked registers, up to the last one, hold what Poke stores.
+		rf.Poke(0xFC, 7)
+		if v, err := ReadU32(p, rf, 0xFC); err != nil || v != 7 {
+			t.Errorf("poked last register reads %d, %v", v, err)
+		}
 	})
+	for _, off := range []uint64{0x11, 0x100} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Peek(%#x) did not panic", off)
+				}
+			}()
+			rf.Peek(off)
+		}()
+	}
 }
 
 func TestAccessErrorFormatting(t *testing.T) {

@@ -11,24 +11,29 @@ import (
 // WF/SZ/CR/SR, the RV-CAP RP control interface...). Registers are
 // word-addressed at 4-byte-aligned offsets; hooks observe or override
 // accesses so device models react to programming.
+//
+// The bank's size is fixed at construction, so values and hooks live in
+// slices indexed by off/4: a register access is an index, not a map
+// lookup (and a keyhole store is not a map assignment).
 type RegFile struct {
 	name    string
 	size    uint64
-	regs    map[uint64]uint32
-	onRead  map[uint64]func() uint32
-	onWrite map[uint64]func(uint32)
+	regs    []uint32
+	onRead  []func() uint32
+	onWrite []func(uint32)
 	// AccessCycles is the slave-side cost of one register access.
 	AccessCycles sim.Time
 }
 
 // NewRegFile returns a register bank spanning [0, size).
 func NewRegFile(name string, size uint64) *RegFile {
+	n := (size + 3) / 4
 	return &RegFile{
 		name:         name,
 		size:         size,
-		regs:         make(map[uint64]uint32),
-		onRead:       make(map[uint64]func() uint32),
-		onWrite:      make(map[uint64]func(uint32)),
+		regs:         make([]uint32, n),
+		onRead:       make([]func() uint32, n),
+		onWrite:      make([]func(uint32), n),
 		AccessCycles: 1,
 	}
 }
@@ -41,11 +46,12 @@ func (r *RegFile) OnRead(off uint64, fn func() uint32) { r.onRead[r.check(off)] 
 // shadows it.
 func (r *RegFile) OnWrite(off uint64, fn func(uint32)) { r.onWrite[r.check(off)] = fn }
 
+// check validates off and returns its register index.
 func (r *RegFile) check(off uint64) uint64 {
 	if off%4 != 0 || off >= r.size {
 		panic(fmt.Sprintf("axi: %s: bad register offset %#x", r.name, off))
 	}
-	return off
+	return off / 4
 }
 
 // Peek returns the stored value without simulation side effects.
@@ -70,8 +76,8 @@ func (r *RegFile) Read(p *sim.Proc, addr uint64, buf []byte) error {
 		return err
 	}
 	p.Sleep(r.AccessCycles)
-	v := r.regs[addr]
-	if fn, ok := r.onRead[addr]; ok {
+	v := r.regs[addr/4]
+	if fn := r.onRead[addr/4]; fn != nil {
 		v = fn()
 	}
 	buf[0] = byte(v)
@@ -87,8 +93,8 @@ func (r *RegFile) Write(p *sim.Proc, addr uint64, data []byte) error {
 	}
 	p.Sleep(r.AccessCycles)
 	v := uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24
-	r.regs[addr] = v
-	if fn, ok := r.onWrite[addr]; ok {
+	r.regs[addr/4] = v
+	if fn := r.onWrite[addr/4]; fn != nil {
 		fn(v)
 	}
 	return nil

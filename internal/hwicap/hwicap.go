@@ -67,7 +67,13 @@ type HWICAP struct {
 	// OnIrq reports interrupt line changes (done interrupt).
 	OnIrq func(high bool)
 
+	// fifo[head:] is the write FIFO. The backing array holds FIFODepth
+	// words and is reused across fills: a drained FIFO rewinds to its
+	// start, and a push that reaches the end slides the live words down
+	// (see makeRoom), so a warm fill and drain allocates nothing.
 	fifo      []uint32
+	head      int
+	drainStep func()
 	readFIFO  []uint32
 	size      uint32 // SZ register: readback word count
 	busy      bool
@@ -83,6 +89,7 @@ type HWICAP struct {
 // New returns a HWICAP feeding the given ICAP engine.
 func New(k *sim.Kernel, icap *fpga.ICAP) *HWICAP {
 	h := &HWICAP{k: k, icap: icap, FIFODepth: DefaultFIFODepth}
+	h.drainStep = h.drain
 	h.Regs = axi.NewRegFile("hwicap.regs", RegFileSize)
 	h.wireRegs()
 	return h
@@ -91,7 +98,7 @@ func New(k *sim.Kernel, icap *fpga.ICAP) *HWICAP {
 func (h *HWICAP) wireRegs() {
 	r := h.Regs
 	r.OnWrite(WF, h.pushWF)
-	r.OnRead(WFV, func() uint32 { return uint32(h.FIFODepth - len(h.fifo)) })
+	r.OnRead(WFV, func() uint32 { return uint32(h.FIFODepth - h.FIFOLevel()) })
 	r.OnRead(RFO, func() uint32 { return uint32(len(h.readFIFO)) })
 	r.OnRead(RF, h.popRF)
 	r.OnWrite(SZ, func(v uint32) { h.size = v })
@@ -128,16 +135,40 @@ func (h *HWICAP) irqEnabled() bool { return h.gie && h.ier&IntrDone != 0 }
 // are lost (the IP has no back-pressure on the register interface); the
 // model counts them so tests can assert the driver never overflows.
 func (h *HWICAP) pushWF(v uint32) {
-	if len(h.fifo) >= h.FIFODepth {
+	if h.FIFOLevel() >= h.FIFODepth {
 		h.overflows++
 		return
+	}
+	if len(h.fifo) == cap(h.fifo) {
+		h.makeRoom()
 	}
 	h.fifo = append(h.fifo, v)
 }
 
+// makeRoom frees the tail of a full backing array for the next push:
+// the live words move to its start, into a FIFODepth-word array the
+// first time (or after FIFODepth grew).
+func (h *HWICAP) makeRoom() {
+	live := h.fifo[h.head:]
+	if cap(h.fifo) < h.FIFODepth {
+		buf := make([]uint32, len(live), h.FIFODepth)
+		copy(buf, live)
+		h.fifo = buf
+	} else {
+		h.fifo = h.fifo[:copy(h.fifo, live)]
+	}
+	h.head = 0
+}
+
+// clearFIFO empties the write FIFO, keeping its backing array.
+func (h *HWICAP) clearFIFO() {
+	h.fifo = h.fifo[:0]
+	h.head = 0
+}
+
 func (h *HWICAP) writeCR(v uint32) {
 	if v&CRSWReset != 0 || v&CRAbort != 0 {
-		h.fifo = h.fifo[:0]
+		h.clearFIFO()
 		h.readFIFO = h.readFIFO[:0]
 		h.busy = false
 		if v&CRAbort != 0 {
@@ -147,7 +178,7 @@ func (h *HWICAP) writeCR(v uint32) {
 		return
 	}
 	if v&CRFIFOClear != 0 {
-		h.fifo = h.fifo[:0]
+		h.clearFIFO()
 	}
 	if v&CRWrite != 0 && !h.busy {
 		h.startDrain()
@@ -217,33 +248,36 @@ func (h *HWICAP) startDrain() {
 	// lost and the per-word throughput is unchanged. Words arriving
 	// mid-drain are included, which is how the keyhole interface
 	// behaves.
-	var step func()
-	step = func() {
-		if len(h.fifo) > 0 {
-			n := len(h.fifo)
-			if n > 16 {
-				n = 16
-			}
-			h.icap.WriteWords(h.fifo[:n])
-			h.fifo = h.fifo[n:]
-			h.words += uint64(n)
-			h.k.Schedule(sim.Time(n), step)
-			return
+	h.k.Schedule(0, h.drainStep)
+}
+
+// drain is one step of the transfer engine started by startDrain.
+func (h *HWICAP) drain() {
+	if n := h.FIFOLevel(); n > 0 {
+		if n > 16 {
+			n = 16
 		}
-		h.busy = false
-		h.isr |= IntrDone
-		if h.OnIrq != nil && h.irqEnabled() {
-			h.OnIrq(true)
+		h.icap.WriteWords(h.fifo[h.head : h.head+n])
+		h.head += n
+		if h.head == len(h.fifo) {
+			h.clearFIFO()
 		}
+		h.words += uint64(n)
+		h.k.Schedule(sim.Time(n), h.drainStep)
+		return
 	}
-	h.k.Schedule(0, step)
+	h.busy = false
+	h.isr |= IntrDone
+	if h.OnIrq != nil && h.irqEnabled() {
+		h.OnIrq(true)
+	}
 }
 
 // Busy reports whether the transfer engine is draining.
 func (h *HWICAP) Busy() bool { return h.busy }
 
 // FIFOLevel returns the current write FIFO occupancy in words.
-func (h *HWICAP) FIFOLevel() int { return len(h.fifo) }
+func (h *HWICAP) FIFOLevel() int { return len(h.fifo) - h.head }
 
 // Overflows returns how many keyhole words were lost to a full FIFO.
 func (h *HWICAP) Overflows() uint64 { return h.overflows }

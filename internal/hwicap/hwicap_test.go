@@ -298,3 +298,103 @@ func TestReadbackShortStream(t *testing.T) {
 	})
 	k.Run()
 }
+
+func TestPushesDuringDrainKeepOrder(t *testing.T) {
+	// The driver keeps writing while the engine drains, so pushes land
+	// in a FIFO whose head has moved: the live words slide down inside
+	// the one backing array and must reach the ICAP in order (a
+	// reordered word breaks the bitstream CRC and the module never
+	// activates).
+	k, fab, part, h := newRig(t)
+	im, err := bitstream.Partial(fab.Dev, part, "sobel", bitstream.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitstream.Register(fab, im)
+	k.Go("driver", func(p *sim.Proc) {
+		i := 0
+		for i < len(im.Words) {
+			vac, _ := axi.ReadU32(p, h.Regs, WFV)
+			for n := uint32(0); n < vac && i < len(im.Words); n++ {
+				axi.WriteU32(p, h.Regs, WF, im.Words[i])
+				i++
+			}
+			if cr, _ := axi.ReadU32(p, h.Regs, CR); cr&CRWrite == 0 {
+				axi.WriteU32(p, h.Regs, CR, CRWrite)
+			}
+		}
+		for h.Busy() {
+			p.Sleep(1)
+		}
+	})
+	k.Run()
+	if h.Overflows() != 0 {
+		t.Errorf("driver overflowed the FIFO %d times", h.Overflows())
+	}
+	if h.Words() != uint64(len(im.Words)) {
+		t.Errorf("words to ICAP = %d, want %d", h.Words(), len(im.Words))
+	}
+	if part.Active() != "sobel" {
+		t.Fatalf("module not activated: %q", part.Active())
+	}
+}
+
+func TestFIFODepthSetAfterNew(t *testing.T) {
+	// FIFODepth is a plain field the ablations change after New; the
+	// backing array follows it up, and vacancy/overflow follow it down.
+	k, _, _, h := newRig(t)
+	h.FIFODepth = 4
+	k.Go("m", func(p *sim.Proc) {
+		for i := 0; i < 4; i++ {
+			axi.WriteU32(p, h.Regs, WF, fpga.DummyWord)
+		}
+		axi.WriteU32(p, h.Regs, CR, CRFIFOClear)
+		h.FIFODepth = 2 * DefaultFIFODepth
+		for i := 0; i < 2*DefaultFIFODepth+1; i++ {
+			axi.WriteU32(p, h.Regs, WF, fpga.DummyWord)
+		}
+		if v, _ := axi.ReadU32(p, h.Regs, WFV); v != 0 {
+			t.Errorf("vacancy of a full deepened FIFO = %d, want 0", v)
+		}
+	})
+	k.Run()
+	if h.Overflows() != 1 {
+		t.Errorf("overflows = %d, want 1", h.Overflows())
+	}
+	if h.FIFOLevel() != 2*DefaultFIFODepth {
+		t.Errorf("level = %d, want %d", h.FIFOLevel(), 2*DefaultFIFODepth)
+	}
+}
+
+// TestWarmFillAndDrainZeroAlloc is the keyhole's steady state: once the
+// write FIFO has its FIFODepth-word backing array, a full fill, a drain
+// and pushes landing mid-drain reuse it and the bound drain step.
+func TestWarmFillAndDrainZeroAlloc(t *testing.T) {
+	k, _, _, h := newRig(t)
+	// By cycle 20 the engine has taken two 16-word chunks: refill them.
+	more := func() {
+		for i := 0; i < 32; i++ {
+			h.pushWF(fpga.DummyWord)
+		}
+	}
+	rounds := 0
+	round := func() {
+		for i := 0; i < h.FIFODepth; i++ {
+			h.pushWF(fpga.DummyWord)
+		}
+		h.writeCR(CRWrite)
+		k.Schedule(20, more) // the head has moved and the array is full
+		k.Run()
+		rounds++
+	}
+	round() // warm the FIFO, bucket and ICAP buffers
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Fatalf("warm fill and drain allocates %.1f allocs per round, want 0", n)
+	}
+	if want := uint64(rounds * (DefaultFIFODepth + 32)); h.Words() != want {
+		t.Errorf("words to ICAP = %d, want %d", h.Words(), want)
+	}
+	if h.FIFOLevel() != 0 || h.Overflows() != 0 {
+		t.Errorf("level %d, overflows %d after drain", h.FIFOLevel(), h.Overflows())
+	}
+}

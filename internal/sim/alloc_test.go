@@ -4,9 +4,10 @@ import "testing"
 
 // The steady-state allocation contract of the kernel primitives: after
 // a warm-up pass grows the backing arrays, the hot paths — calendar
-// enqueue (near, same-cycle, and far), Signal.OnFire re-arm, and the
-// fire/dispatch loop — must not allocate. BENCH_8/BENCH_9's allocs/op
-// ceilings lean directly on these invariants.
+// enqueue (near, same-cycle, and far), Signal.OnFire re-arm, the
+// fire/dispatch loop and the in-place process sleep — must not
+// allocate. BENCH_8/BENCH_9's allocs/op ceilings lean directly on these
+// invariants.
 
 // TestCalendarEnqueueZeroAlloc covers all three Schedule paths: a
 // same-cycle event (bucket append), a small in-window delay, and a
@@ -72,5 +73,49 @@ func TestWaitRearmZeroAlloc(t *testing.T) {
 	}
 	if wakes == 0 {
 		t.Fatal("waiter never woke")
+	}
+}
+
+// TestSleepInPlaceZeroAlloc covers Proc.Sleep's in-place path: a lone
+// process sleeping near and beyond the ring window with one far event
+// pending, so each round also recycles buckets and migrates the far
+// heap. Only the sleep that the far event precedes is queued.
+func TestSleepInPlaceZeroAlloc(t *testing.T) {
+	k := NewKernel(WithQueue(CalendarQueue))
+	start := NewSignal(k, "start")
+	fn := func() {}
+	sleeps := 0
+	k.Go("sleeper", func(p *Proc) {
+		for {
+			p.Wait(start)
+			for i := 0; i < 64; i++ {
+				p.Sleep(Time(i % 3)) // 63 cycles in all
+			}
+			p.Sleep(ringSize + 1)
+			p.Sleep(2 * ringSize) // queued: the far event below is due first
+			// End the round on a multiple of ringSize so every round
+			// reuses the same (warm) buckets.
+			p.Sleep(4*ringSize - 63 - (ringSize + 1) - 2*ringSize)
+			sleeps += 67
+		}
+	})
+	k.Run() // park the process
+	round := func() {
+		k.Schedule(3*ringSize, fn)
+		start.Fire()
+		k.Run()
+	}
+	round() // warm-up
+	events := k.Events()
+	if n := testing.AllocsPerRun(200, round); n != 0 {
+		t.Fatalf("in-place sleep allocates %.1f allocs per round, want 0", n)
+	}
+	if sleeps == 0 {
+		t.Fatal("sleeper never ran")
+	}
+	// Each round fires the far callback, the signal wake and one event
+	// per sleep, whether or not the sleep switched.
+	if got, want := k.Events()-events, uint64(201*(2+67)); got != want {
+		t.Fatalf("fired %d events over the measured rounds, want %d", got, want)
 	}
 }

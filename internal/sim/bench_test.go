@@ -74,9 +74,11 @@ func BenchmarkScheduleFireFar(b *testing.B) {
 	})
 }
 
-// BenchmarkProcSleep measures the full process pause/dispatch round trip,
-// the unit cost of every beat-level stream handoff.
-func BenchmarkProcSleep(b *testing.B) {
+// BenchmarkProcSleepInPlace measures a lone sleeper: nothing else is
+// pending, so on the calendar queue every Sleep advances time in place
+// with no coroutine switch (the HWICAP keyhole's bus hops). The legacy
+// heap still pays the full pause/dispatch round trip.
+func BenchmarkProcSleepInPlace(b *testing.B) {
 	benchQueues(b, func(b *testing.B, q QueueKind) {
 		k := NewKernel(WithQueue(q))
 		b.ReportAllocs()
@@ -86,6 +88,26 @@ func BenchmarkProcSleep(b *testing.B) {
 				p.Sleep(1)
 			}
 		})
+		k.Run()
+	})
+}
+
+// BenchmarkProcSleepContended measures the full process pause/dispatch
+// round trip, the unit cost of every beat-level stream handoff: two
+// sleepers interleave cycle by cycle, so each Sleep finds the other's
+// wake due first and must queue and yield.
+func BenchmarkProcSleepContended(b *testing.B) {
+	benchQueues(b, func(b *testing.B, q QueueKind) {
+		k := NewKernel(WithQueue(q))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for w := 0; w < 2; w++ {
+			k.Go("sleeper", func(p *Proc) {
+				for i := 0; i < b.N/2; i++ {
+					p.Sleep(1)
+				}
+			})
+		}
 		k.Run()
 	})
 }

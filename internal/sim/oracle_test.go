@@ -101,28 +101,55 @@ func TestRunUntilCappedThenRepeatedCaps(t *testing.T) {
 	})
 }
 
-// oracleRun drives one kernel through a seeded pseudo-random sequence of
-// schedule / cascade / halt / RunUntil / Step operations and returns the
-// observable trace: firing order with cycles, final time, and the fired
-// counter. The op stream is a pure function of the seed, so running it
-// once per queue implementation yields directly comparable traces.
-func oracleRun(q QueueKind, seed int64) (trace []string, now Time, fired uint64) {
+// oracleRand is the oracle's source of choices: math/rand for the
+// seeded suite, the fuzzer's bytes for FuzzKernelOracle.
+type oracleRand interface{ Intn(n int) int }
+
+// byteRand draws choices from fuzz input, two bytes per choice; once the
+// input runs out it continues from a fixed-seed generator so every input
+// drives a full-length run.
+type byteRand struct {
+	b    []byte
+	rest *rand.Rand
+}
+
+func (r *byteRand) Intn(n int) int {
+	if len(r.b) < 2 {
+		return r.rest.Intn(n)
+	}
+	v := int(r.b[0]) | int(r.b[1])<<8
+	r.b = r.b[2:]
+	return v % n
+}
+
+// oracleRun drives one kernel through a pseudo-random sequence of
+// schedule / cascade / process / halt / RunUntil / Step operations and
+// returns the observable trace: firing order with cycles, final time,
+// and the fired counter. The op stream is a pure function of the choice
+// source, so running it once per queue implementation yields directly
+// comparable traces. Processes sleep from the same boundary delay mix as
+// the callbacks: on the calendar queue a sleep with nothing due before
+// its wake-up advances time in place, while the legacy heap always
+// queues the wake, so any drift of the in-place path shows up here.
+func oracleRun(q QueueKind, rng oracleRand) (trace []string, now Time, fired uint64) {
 	k := NewKernel(WithQueue(q))
-	rng := rand.New(rand.NewSource(seed))
 	id := 0
+	procs := 0
 	// Delay mix biased toward the interesting boundaries: same-cycle
 	// cascades (compaction path), window edges base+ringSize±1, and far
 	// events that must migrate back.
 	delays := []Time{0, 0, 1, 2, 63, 64, ringSize - 1, ringSize, ringSize + 1, 2 * ringSize, 3*ringSize + 7}
-	var schedule func(depth int)
+	delay := func() Time {
+		if rng.Intn(4) == 0 {
+			return Time(rng.Intn(4 * ringSize))
+		}
+		return delays[rng.Intn(len(delays))]
+	}
+	var schedule, spawn func(depth int)
 	schedule = func(depth int) {
 		n := id
 		id++
-		d := delays[rng.Intn(len(delays))]
-		if rng.Intn(4) == 0 {
-			d = Time(rng.Intn(4 * ringSize))
-		}
-		k.Schedule(d, func() {
+		k.Schedule(delay(), func() {
 			trace = append(trace, fmt.Sprintf("%d@%d", n, k.Now()))
 			switch {
 			case depth < 3 && rng.Intn(3) == 0:
@@ -133,6 +160,8 @@ func oracleRun(q QueueKind, seed int64) (trace []string, now Time, fired uint64)
 					id++
 					k.Schedule(0, func() { trace = append(trace, fmt.Sprintf("%d@%d", m, k.Now())) })
 				}
+			case depth < 4 && rng.Intn(4) == 0:
+				spawn(depth + 1)
 			case depth < 5:
 				schedule(depth + 1)
 				if rng.Intn(2) == 0 {
@@ -144,14 +173,50 @@ func oracleRun(q QueueKind, seed int64) (trace []string, now Time, fired uint64)
 			}
 		})
 	}
+	// spawn starts a process that sleeps a few times, now and then
+	// scheduling a callback, starting another process or halting the
+	// run from inside itself before its next sleep.
+	spawn = func(depth int) {
+		if procs >= 48 {
+			return
+		}
+		procs++
+		n := id
+		id++
+		k.Go(fmt.Sprintf("p%d", n), func(p *Proc) {
+			for i, m := 0, 1+rng.Intn(8); i < m; i++ {
+				trace = append(trace, fmt.Sprintf("p%d.%d@%d", n, i, p.Now()))
+				switch rng.Intn(8) {
+				case 0:
+					schedule(depth + 1)
+				case 1:
+					if depth < 4 {
+						spawn(depth + 1)
+					}
+				case 2:
+					if rng.Intn(4) == 0 {
+						k.Halt()
+					}
+				}
+				p.Sleep(delay())
+			}
+			trace = append(trace, fmt.Sprintf("p%d.end@%d", n, p.Now()))
+		})
+	}
 	for round := 0; round < 40; round++ {
-		for i := 0; i < 4; i++ {
+		// Some rounds add no callbacks, so processes also sleep with
+		// the ring empty and only far events (or nothing) pending.
+		for i := rng.Intn(5); i > 0; i-- {
 			schedule(0)
+		}
+		if rng.Intn(2) == 0 {
+			spawn(0)
 		}
 		switch rng.Intn(5) {
 		case 0:
-			// Capped run landing between events, often straddling a
-			// window boundary — exercises the eager-migration exit.
+			// Capped run landing between events (often mid-sleep),
+			// straddling a window boundary — exercises the
+			// eager-migration exit.
 			k.RunUntil(k.Now() + Time(rng.Intn(2*ringSize)))
 		case 1:
 			// Smaller-or-equal limit: must be a no-op for past cycles.
@@ -162,7 +227,7 @@ func oracleRun(q QueueKind, seed int64) (trace []string, now Time, fired uint64)
 				k.Step()
 			}
 		case 3:
-			k.RunUntil(k.Now() + ringSize + Time(rng.Intn(3))-1)
+			k.RunUntil(k.Now() + ringSize + Time(rng.Intn(3)) - 1)
 		case 4:
 			k.RunUntil(k.Now())
 		}
@@ -173,38 +238,146 @@ func oracleRun(q QueueKind, seed int64) (trace []string, now Time, fired uint64)
 	for k.Pending() > 0 {
 		k.Run()
 	}
+	// Epilogue on the idle kernel, with a process budget of its own: a
+	// lone process sleeps across the window edges against at most one
+	// far callback, the sparse case where an in-place sleep has to
+	// consult and migrate the far heap.
+	procs = 0
+	for i := 0; i < 6; i++ {
+		if rng.Intn(2) == 0 {
+			n := id
+			id++
+			k.Schedule(ringSize+Time(rng.Intn(3*ringSize)), func() {
+				trace = append(trace, fmt.Sprintf("%d@%d", n, k.Now()))
+			})
+		}
+		spawn(4)
+		for k.Pending() > 0 {
+			k.Run()
+		}
+	}
 	return trace, k.Now(), k.Events()
 }
 
+// compareOracle runs the oracle once per queue, each with a fresh choice
+// source from src, and fails on the first difference in trace, final
+// time or fired count. It returns the trace length.
+func compareOracle(t *testing.T, src func() oracleRand) int {
+	t.Helper()
+	ct, cn, cf := oracleRun(CalendarQueue, src())
+	lt, ln, lf := oracleRun(LegacyHeap, src())
+	if len(ct) != len(lt) {
+		t.Fatalf("trace lengths differ: calendar %d, legacy %d", len(ct), len(lt))
+	}
+	for i := range ct {
+		if ct[i] != lt[i] {
+			t.Fatalf("trace[%d] differs: calendar %q, legacy %q", i, ct[i], lt[i])
+		}
+	}
+	if cn != ln {
+		t.Fatalf("final Now differs: calendar %d, legacy %d", cn, ln)
+	}
+	if cf != lf {
+		t.Fatalf("fired counts differ: calendar %d, legacy %d", cf, lf)
+	}
+	return len(ct)
+}
+
 // TestCalendarFuzzOracleMatchesLegacy is the randomized equivalence
-// oracle: identical seeded schedule/halt/RunUntil/Step sequences through
-// the calendar queue and the legacy heap must produce identical fire
-// order, identical final time, and identical fired counts — including
-// the same-cycle cascade compaction path and far-heap migrations at the
-// base+ringSize±1 boundaries.
+// oracle: identical seeded schedule/process/halt/RunUntil/Step sequences
+// through the calendar queue and the legacy heap must produce identical
+// fire order, identical final time, and identical fired counts —
+// including the same-cycle cascade compaction path, far-heap migrations
+// at the base+ringSize±1 boundaries and in-place process sleeps.
 func TestCalendarFuzzOracleMatchesLegacy(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			ct, cn, cf := oracleRun(CalendarQueue, seed)
-			lt, ln, lf := oracleRun(LegacyHeap, seed)
-			if len(ct) != len(lt) {
-				t.Fatalf("trace lengths differ: calendar %d, legacy %d", len(ct), len(lt))
-			}
-			for i := range ct {
-				if ct[i] != lt[i] {
-					t.Fatalf("trace[%d] differs: calendar %q, legacy %q", i, ct[i], lt[i])
-				}
-			}
-			if cn != ln {
-				t.Fatalf("final Now differs: calendar %d, legacy %d", cn, ln)
-			}
-			if cf != lf {
-				t.Fatalf("fired counts differ: calendar %d, legacy %d", cf, lf)
-			}
-			if len(ct) < 200 {
-				t.Fatalf("oracle run too small to be meaningful: %d events", len(ct))
+			n := compareOracle(t, func() oracleRand { return rand.New(rand.NewSource(seed)) })
+			if n < 200 {
+				t.Fatalf("oracle run too small to be meaningful: %d events", n)
 			}
 		})
 	}
+}
+
+// FuzzKernelOracle is the same calendar-vs-legacy oracle with the
+// fuzzer choosing every delay, cascade, spawn, halt and run cap. The
+// committed corpus under testdata/fuzz/FuzzKernelOracle runs as part of
+// go test.
+func FuzzKernelOracle(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		compareOracle(t, func() oracleRand {
+			return &byteRand{b: data, rest: rand.New(rand.NewSource(1))}
+		})
+	})
+}
+
+// TestInPlaceSleepStaleBucket pins the hazard the in-place sleep brings
+// to drain(): a process advances time in place (base moves off the
+// bucket drain was walking), then sleeps on the slow path into that same
+// bucket slot one window later. drain must not fire that wake from the
+// stale bucket at the current cycle.
+func TestInPlaceSleepStaleBucket(t *testing.T) {
+	bothQueues(t, func(t *testing.T, k *Kernel) {
+		var got []string
+		log := func(tag string) { got = append(got, fmt.Sprintf("%s@%d", tag, k.Now())) }
+		k.Go("p", func(p *Proc) {
+			p.Sleep(5) // nothing else pending: advances in place
+			log("p")
+			k.Schedule(1, func() { log("cb") })
+			p.Sleep(ringSize - 5) // behind cb: queued into bucket 0
+			log("p")
+		})
+		k.Run()
+		want := []string{"p@5", "cb@6", fmt.Sprintf("p@%d", ringSize)}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+		if k.Events() != 4 {
+			t.Fatalf("fired %d events, want 4 (start, two wakes, cb)", k.Events())
+		}
+	})
+}
+
+// TestInPlaceSleepFarEvents covers sleeps past the ring window with only
+// far events pending: one due before the wake (the sleep must queue
+// behind it), one due at the wake's cycle (scheduled first, so it fires
+// first), and none at all (the sleep advances in place and setBase
+// migrates nothing early).
+func TestInPlaceSleepFarEvents(t *testing.T) {
+	bothQueues(t, func(t *testing.T, k *Kernel) {
+		var got []string
+		log := func(tag string) { got = append(got, fmt.Sprintf("%s@%d", tag, k.Now())) }
+		k.At(ringSize+10, func() { log("far-a") })
+		k.At(3*ringSize, func() { log("far-b") })
+		k.Go("p", func(p *Proc) {
+			p.Sleep(2 * ringSize)
+			log("p")
+			p.Sleep(ringSize)
+			log("p")
+			p.Sleep(3*ringSize + 7)
+			log("p")
+			k.Schedule(ringSize+1, func() { log("far-c") })
+			p.Sleep(ringSize)
+			log("p")
+		})
+		k.Run()
+		want := []string{
+			fmt.Sprintf("far-a@%d", ringSize+10),
+			fmt.Sprintf("p@%d", 2*ringSize),
+			fmt.Sprintf("far-b@%d", 3*ringSize),
+			fmt.Sprintf("p@%d", 3*ringSize),
+			fmt.Sprintf("p@%d", 6*ringSize+7),
+			fmt.Sprintf("p@%d", 7*ringSize+7),
+			fmt.Sprintf("far-c@%d", 7*ringSize+8),
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+		if k.Events() != 8 {
+			t.Fatalf("fired %d events, want 8", k.Events())
+		}
+	})
 }

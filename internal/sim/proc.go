@@ -121,9 +121,16 @@ func (p *Proc) Name() string { return p.name }
 // Done reports whether the process function has returned.
 func (p *Proc) Done() bool { return p.done }
 
-// Sleep suspends the process for d cycles of simulated time. A zero
-// delay still yields so same-cycle events interleave fairly.
+// Sleep suspends the process for d cycles of simulated time. When
+// nothing else is due before the wake-up, a Run/RunUntil loop moves time
+// forward in place without a coroutine switch; the result is identical
+// to queueing the wake. So under Run/RunUntil a zero delay yields only
+// when another event is pending at the current cycle, which keeps
+// same-cycle events interleaving fairly.
 func (p *Proc) Sleep(d Time) {
+	if p.k.advance(d) {
+		return
+	}
 	p.k.push(p.k.now+d, entry{proc: p})
 	p.pause()
 }

@@ -132,13 +132,7 @@ func (k *Kernel) position(limit Time) bool {
 			}
 			return k.base <= limit
 		}
-		// Current bucket fully consumed: recycle its backing array.
-		if len(*b) > 0 {
-			*b = (*b)[:0]
-			i := k.base & ringMask
-			k.occ[i>>6] &^= 1 << (i & 63)
-		}
-		k.pos = 0
+		k.recycle()
 		if k.ringN > 0 {
 			next := k.nextOccupied(k.base + 1)
 			if next > limit {
@@ -177,10 +171,17 @@ func (k *Kernel) position(limit Time) bool {
 //
 // Callers must have established via position() that ring[base&ringMask]
 // holds the earliest pending event.
+//
+// A process dispatched here may move base forward in place (see
+// advance), after which b is no longer the current bucket: a later
+// slow-path sleep can land in b's slot one window on, and walking b
+// would fire it at the wrong cycle. So drain returns as soon as base
+// moves and lets position() re-derive the bucket.
 func (k *Kernel) drain() {
-	b := &k.ring[k.base&ringMask]
-	k.now = k.base
-	for k.pos < len(*b) && !k.halt {
+	base := k.base
+	b := &k.ring[base&ringMask]
+	k.now = base
+	for k.pos < len(*b) && !k.halt && k.base == base {
 		if k.pos >= 64 && k.pos >= len(*b)-k.pos {
 			n := copy(*b, (*b)[k.pos:])
 			tail := (*b)[n:]
@@ -197,6 +198,53 @@ func (k *Kernel) drain() {
 		k.fired++
 		e.run(k)
 	}
+}
+
+// advance is Proc.Sleep's in-place path: it moves simulated time to
+// now+d without queueing a wake or yielding, and reports whether it
+// did. It applies only when the slow path — push the wake, yield, let
+// the Run loop position to it and dispatch it — would provably fire
+// that wake next: a Run/RunUntil loop is active and now+d lies within
+// its horizon, Halt has not been called, the current bucket holds no
+// unfired entry, and no ring bucket or far event is due at or before
+// now+d. It then does exactly the bookkeeping position() and drain()
+// would have done for the wake: recycle the consumed bucket, setBase
+// (migrating far events), set now and count the fired event.
+//
+//lint:hot
+func (k *Kernel) advance(d Time) bool {
+	t := k.now + d
+	if !k.running || k.halt || t > k.limit {
+		return false
+	}
+	if k.pos < len(k.ring[k.base&ringMask]) {
+		return false
+	}
+	// Every pending ring entry sits in a later bucket (the current one is
+	// consumed), so none is due at t when d is zero.
+	if d > 0 && k.ringN > 0 && k.nextOccupied(k.base+1) <= t {
+		return false
+	}
+	if len(k.far) > 0 && k.far[0].at <= t {
+		return false
+	}
+	k.recycle()
+	k.setBase(t)
+	k.now = t
+	k.fired++
+	return true
+}
+
+// recycle empties the fully consumed current bucket, keeping its
+// backing array, and clears its occupancy bit.
+func (k *Kernel) recycle() {
+	b := &k.ring[k.base&ringMask]
+	if len(*b) > 0 {
+		*b = (*b)[:0]
+		i := k.base & ringMask
+		k.occ[i>>6] &^= 1 << (i & 63)
+	}
+	k.pos = 0
 }
 
 // fire runs the event position() selected, advancing current time to

@@ -98,6 +98,12 @@ type Kernel struct {
 	halt  bool
 	fired uint64
 
+	// running is set while a calendar Run/RunUntil loop is active and
+	// limit is that loop's horizon: the window in which Proc.Sleep may
+	// advance time in place (see Kernel.advance).
+	running bool
+	limit   Time
+
 	// Legacy queue (WithQueue(LegacyHeap)).
 	legacy bool
 	pq     eventHeap
@@ -178,6 +184,9 @@ func (k *Kernel) Step() bool {
 		e.e.run(k)
 		return true
 	}
+	// A Step nested inside a Run event ends that loop's in-place
+	// window: the slow path is always exact.
+	k.running = false
 	if !k.position(Forever) {
 		return false
 	}
@@ -191,7 +200,8 @@ func (k *Kernel) Halt() { k.halt = true }
 // Run executes events until the queue drains or Halt is called. On the
 // calendar queue the loop positions the window once per occupied cycle
 // and drains that cycle's whole bucket (cascade appends included) in a
-// single batched pass.
+// single batched pass, and a process that sleeps with nothing else due
+// moves time forward in place (see Proc.Sleep).
 func (k *Kernel) Run() {
 	k.halt = false
 	if k.legacy {
@@ -199,9 +209,11 @@ func (k *Kernel) Run() {
 		}
 		return
 	}
+	k.running, k.limit = true, Forever
 	for !k.halt && k.position(Forever) {
 		k.drain()
 	}
+	k.running = false
 }
 
 // RunUntil executes events with timestamps <= t, then sets the current
@@ -213,9 +225,11 @@ func (k *Kernel) RunUntil(t Time) {
 			k.Step()
 		}
 	} else {
+		k.running, k.limit = true, t
 		for !k.halt && k.position(t) {
 			k.drain()
 		}
+		k.running = false
 	}
 	if !k.halt && k.now < t {
 		k.now = t
