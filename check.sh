@@ -4,6 +4,10 @@
 # root before sending a PR; CI runs the same sequence.
 set -eu
 
+echo '== gofmt -l'
+# Every tracked Go file must already be gofmt-clean.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
+
 echo '== go build ./...'
 go build ./...
 

@@ -2,6 +2,10 @@ package accel
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -309,27 +313,189 @@ func TestFilterIdempotenceProperties(t *testing.T) {
 	}
 }
 
-// TestFilterRowMatchesNaiveReference holds the row-sliced fast path
-// (filterRow, used by Apply and the engine's row pipeline) byte-identical
-// to the naive 9-tap At formulation (kernel3x3 over the *Pix functions)
-// on images exercising every border and both odd and even widths.
+// refs maps each filter to its naive per-pixel reference.
+var refs = map[string]func(n *[9]byte) byte{
+	Sobel:    sobelPix,
+	Median:   medianPix,
+	Gaussian: gaussianPix,
+}
+
+// TestFilterRowMatchesNaiveReference holds the row kernels (used by
+// Apply and the engine's row pipeline) byte-identical to the naive 9-tap
+// At formulation (kernel3x3 over the *Pix functions) on the test pattern
+// and on random images of every width from 1 to 70, which exercises
+// every border, SWAR tail length and the 512-wide workload shape.
 func TestFilterRowMatchesNaiveReference(t *testing.T) {
-	refs := map[string]func(n *[9]byte) byte{
-		Sobel:    sobelPix,
-		Median:   medianPix,
-		Gaussian: gaussianPix,
+	var srcs []*Image
+	for _, dim := range [][2]int{{8, 8}, {16, 3}, {9, 7}, {64, 64}, {1, 1}, {2, 5}, {512, 512}} {
+		srcs = append(srcs, TestPattern(dim[0], dim[1]))
 	}
-	for _, dim := range [][2]int{{8, 8}, {16, 3}, {9, 7}, {64, 64}, {1, 1}, {2, 5}} {
-		src := TestPattern(dim[0], dim[1])
-		for name, ref := range refs {
-			want := kernel3x3(src, ref)
-			got := NewImage(src.W, src.H)
-			for y := 0; y < src.H; y++ {
-				filterRow(name, src, y, got.Pix[y*src.W:(y+1)*src.W])
+	rng := rand.New(rand.NewSource(1))
+	for w := 1; w <= 70; w++ {
+		src := NewImage(w, 1+rng.Intn(6))
+		rng.Read(src.Pix)
+		srcs = append(srcs, src)
+	}
+	for _, src := range srcs {
+		for _, name := range Filters {
+			want := kernel3x3(src, refs[name])
+			got, err := Apply(name, src)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if !got.Equal(want) {
-				t.Errorf("%s %dx%d: row fast path diverges from naive reference", name, dim[0], dim[1])
+				t.Errorf("%s %dx%d: row kernel diverges from naive reference", name, src.W, src.H)
 			}
 		}
+	}
+}
+
+// goldenSHA256 pins Apply(f, TestPattern(512, 512)) for each filter to
+// the output of the per-pixel kernels that preceded the row kernels, so
+// a fault shared by Apply and the engine (which both run the row
+// kernels) cannot pass unnoticed.
+var goldenSHA256 = map[string]string{
+	Gaussian: "a92d4249c2ae043a597674baadea3933ee5afdbb505706a862aa6e7a4c4291a2",
+	Median:   "61d4fff51861007d20f9f7a4bb4d623c52500f17fd9c3eac07c64d253c4f1da0",
+	Sobel:    "c2f4f2fbd776b33888b34dc8e285a13070b7b91337d180e6466d19146a135682",
+}
+
+func TestFilterGoldenHashes(t *testing.T) {
+	src := TestPattern(DefaultWidth, DefaultHeight)
+	for _, name := range Filters {
+		out, err := Apply(name, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(out.Pix)); got != goldenSHA256[name] {
+			t.Errorf("%s: SHA-256 %s, want %s", name, got, goldenSHA256[name])
+		}
+	}
+}
+
+// TestMinMax8Exhaustive checks the SWAR compare-exchange on all 65,536
+// byte pairs. Every lane gets a different pair of each word (a and b
+// rotate by different strides per lane), so each lane sees every pair
+// once and a borrow or mask leaking into a neighbouring lane shows.
+func TestMinMax8Exhaustive(t *testing.T) {
+	for a := 0; a < 256; a++ {
+		for b := 0; b < 256; b++ {
+			var wa, wb uint64
+			for i := 0; i < 8; i++ {
+				wa |= uint64(byte(a+37*i)) << (8 * i)
+				wb |= uint64(byte(b+101*i)) << (8 * i)
+			}
+			lo, hi := minmax8(wa, wb)
+			for i := 0; i < 8; i++ {
+				x, y := byte(wa>>(8*i)), byte(wb>>(8*i))
+				if l, h := byte(lo>>(8*i)), byte(hi>>(8*i)); l != min(x, y) || h != max(x, y) {
+					t.Fatalf("lane %d of (%#016x, %#016x): minmax8 = (%d, %d), want (%d, %d)",
+						i, wa, wb, l, h, min(x, y), max(x, y))
+				}
+			}
+		}
+	}
+}
+
+// FuzzFilterRows checks every row kernel against the naive reference on
+// fuzzer-chosen dimensions and pixels (the pixel bytes tile the image).
+// The seeds are the committed corpus under testdata/fuzz.
+func FuzzFilterRows(f *testing.F) {
+	f.Fuzz(func(t *testing.T, w, h uint8, pix []byte) {
+		if len(pix) == 0 {
+			return
+		}
+		src := NewImage(1+int(w)%96, 1+int(h)%12)
+		for i := range src.Pix {
+			src.Pix[i] = pix[i%len(pix)]
+		}
+		for _, name := range Filters {
+			got, err := Apply(name, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := kernel3x3(src, refs[name]); !got.Equal(want) {
+				t.Fatalf("%s %dx%d: row kernel diverges from naive reference", name, src.W, src.H)
+			}
+		}
+	})
+}
+
+var sinkImage *Image
+
+// TestFilterAllocs guards the row path's allocation profile: Apply
+// allocates its output image and one row scratch, however tall the
+// image, and an engine streaming frames allocates nothing per row once
+// its row buffers are pooled.
+func TestFilterAllocs(t *testing.T) {
+	want := testing.AllocsPerRun(10, func() {
+		sinkImage = NewImage(64, 4)
+		sinkScratch = make([]byte, scratchLen(64))
+	})
+	for _, name := range Filters {
+		for _, h := range []int{4, 256} {
+			src := TestPattern(64, h)
+			got := testing.AllocsPerRun(10, func() { sinkImage, _ = Apply(name, src) })
+			if got != want {
+				t.Errorf("%s 64x%d: Apply allocates %v times, want %v (output image + row scratch)", name, h, got, want)
+			}
+		}
+	}
+
+	// Engine: warm-up frames fill the row pool (and the event queue's
+	// buckets), then further frames must not allocate at all.
+	k := sim.NewKernel()
+	e, err := NewEngine(k, Median, 64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := TestPattern(64, 64)
+	beats := make([]axi.Beat, len(src.Pix)/8)
+	for i := range beats {
+		beats[i] = axi.Beat{Data: binary.LittleEndian.Uint64(src.Pix[8*i:]), Keep: axi.FullKeep, Last: i == len(beats)-1}
+	}
+	drain := make([]axi.Beat, len(beats))
+	got := 0
+	var pop func(int)
+	pop = func(n int) {
+		if got += n; got < len(drain) {
+			e.Out().PopBurstAsync(drain[got:], pop)
+		}
+	}
+	pushed := func() {}
+	frame := func() {
+		got = 0
+		e.In().PushBurstAsync(beats, pushed)
+		e.Out().PopBurstAsync(drain, pop)
+		k.Run()
+	}
+	for i := 0; i < 10; i++ {
+		frame()
+	}
+	if got := testing.AllocsPerRun(20, frame); got != 0 {
+		t.Errorf("engine allocates %v times per steady-state frame, want 0", got)
+	}
+}
+
+var sinkScratch []byte
+
+// BenchmarkFilterRow times Apply's row kernels over one 512x512 test
+// pattern per op.
+func BenchmarkFilterRow(b *testing.B) {
+	src := TestPattern(DefaultWidth, DefaultHeight)
+	dst := NewImage(src.W, src.H)
+	scratch := make([]byte, scratchLen(src.W))
+	for _, name := range []string{Sobel, Median, Gaussian} {
+		row := rowKernels[name]
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(src.Pix)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for y := 0; y < src.H; y++ {
+					r0, r1, r2 := rowsAround(src, y)
+					row(r0, r1, r2, dst.Pix[y*src.W:(y+1)*src.W], scratch)
+				}
+			}
+		})
 	}
 }

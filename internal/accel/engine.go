@@ -24,6 +24,7 @@ import (
 type Engine struct {
 	name string
 	w, h int
+	row  rowKernel
 
 	in  *axi.Stream
 	out *axi.Stream
@@ -68,6 +69,7 @@ func NewEngine(k *sim.Kernel, name string, w, h int) (*Engine, error) {
 		name:        name,
 		w:           w,
 		h:           h,
+		row:         rowKernels[name],
 		in:          axi.NewStream(k, name+".in", 32),
 		out:         axi.NewStream(k, name+".out", 32),
 		iiNum:       spec.iiNum,
@@ -96,7 +98,6 @@ type outRow struct {
 	pix  []byte
 	last bool
 }
-
 
 // start launches the engine's two continuation state machines: the
 // input/compute side consumes one image per pass, handing each output
@@ -158,10 +159,15 @@ func (e *Engine) start(k *sim.Kernel) {
 		avail.Fire()
 	}
 
-	// Input/compute side.
+	// Input/compute side. The 3x3 window needs only the rows around
+	// the one being computed, so input row y lands in a three-row ring
+	// (slot y%3): when row r completes, rows r-2..r are resident, which
+	// is all the output row r-1 reads.
 	beatsPerRow := e.w / 8
 	inBuf := make([]axi.Beat, e.in.Cap())
-	src := NewImage(e.w, e.h)
+	buf := make([]byte, 3*e.w+scratchLen(e.w)) // the ring, then the row scratch
+	lines := [3][]byte{buf[:e.w], buf[e.w : 2*e.w], buf[2*e.w : 3*e.w]}
+	scratch := buf[3*e.w:]
 	credit, row, b := 0, 0, 0
 	var popStep func()
 	var afterPop func(int)
@@ -175,9 +181,9 @@ func (e *Engine) start(k *sim.Kernel) {
 		e.in.PopBurstAsync(inBuf[:want], afterPop)
 	}
 	afterPop = func(got int) {
-		base := row*e.w + b*8
+		line := lines[row%3][b*8:]
 		for j, beat := range inBuf[:got] {
-			binary.LittleEndian.PutUint64(src.Pix[base+j*8:], beat.Data)
+			binary.LittleEndian.PutUint64(line[j*8:], beat.Data)
 		}
 		e.beatsIn += uint64(got)
 		b += got
@@ -213,7 +219,7 @@ func (e *Engine) start(k *sim.Kernel) {
 		} else {
 			pix = make([]byte, e.w)
 		}
-		filterRow(e.name, src, y, pix)
+		e.row(lines[max(y-1, 0)%3], lines[y%3], lines[min(y+1, e.h-1)%3], pix, scratch)
 		return pix
 	}
 	rowEmit = func() {
@@ -227,8 +233,8 @@ func (e *Engine) start(k *sim.Kernel) {
 			return
 		}
 		// The final row uses edge replication; emit it with TLAST.
-		// Every pixel of src is rewritten by the next image's beats, so
-		// the buffer is reused as-is.
+		// The next image's beats overwrite each ring slot before any
+		// row reads it, so the ring is reused as-is.
 		emit(compute(e.h-1), true)
 		credit, row = 0, 0
 		popStep()

@@ -5,8 +5,8 @@ import (
 
 	"rvcap/internal/accel"
 	"rvcap/internal/bitstream"
-	"rvcap/internal/driver"
 	"rvcap/internal/dma"
+	"rvcap/internal/driver"
 	"rvcap/internal/fault"
 	"rvcap/internal/fpga"
 	"rvcap/internal/hist"

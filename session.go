@@ -87,8 +87,8 @@ func (ses *Session) FilterImage(src *Image) (*Image, Timing, error) {
 	if err != nil {
 		return nil, Timing{}, err
 	}
-	out := accel.NewImage(src.W, src.H)
-	copy(out.Pix, ses.sys.hw.DDR.Peek(filterOutAddr, len(out.Pix)))
+	// Peek returns a fresh copy, which becomes the image's pixels.
+	out := &Image{W: src.W, H: src.H, Pix: ses.sys.hw.DDR.Peek(filterOutAddr, len(src.Pix))}
 	return out, Timing{ComputeMicros: res.ComputeMicros, Bytes: res.Bytes}, nil
 }
 
