@@ -1,10 +1,9 @@
 // Command benchcheck validates the benchmark JSON files rvcap-bench
 // produces, dispatching on the document's experiment field:
 //
-//   - kernel-fastpath (BENCH_5.json, from -benchjson): exactly one run
-//     per event-queue implementation, both having processed the same
-//     number of events — the cheap always-on queue-equivalence signal
-//     check.sh leans on.
+//   - kernel-fastpath (BENCH_5.json, recorded by the retired
+//     -benchjson mode): exactly one run per event-queue implementation,
+//     both having processed the same number of events.
 //   - fleet-throughput (BENCH_6.json, from -fleetjson): a strictly
 //     growing board-count ladder where every rung's serial and parallel
 //     per-board report digests match — the fleet's parallel-determinism
@@ -21,14 +20,15 @@
 //     failures, amorphous never failing more than fixed on any row,
 //     and every defrag pass that moved regions having lowered the
 //     external-fragmentation gauge.
-//   - kernel-cascade (BENCH_8.json, from -cascadejson): the
-//     second-round kernel record — queue equivalence as in
-//     kernel-fastpath, a per-core events/sec improvement over the
-//     BENCH_5 baseline of at least -min-ratio (recomputed from the
-//     file's own numbers, and cross-checked against the committed
-//     baseline when -baseline is given), and the fleet aggregate
-//     floor -aggregate-floor (skipped with an annotation when the
-//     recording host had fewer cores than fleet boards).
+//   - kernel-cascade (BENCH_8.json, recorded by the retired
+//     -cascadejson mode): the second-round kernel record — queue
+//     equivalence as in kernel-fastpath, a per-core events/sec
+//     improvement over the BENCH_5 baseline of at least -min-ratio
+//     (recomputed from the file's own numbers, and cross-checked
+//     against the committed baseline when -baseline is given), and the
+//     fleet aggregate floor -aggregate-floor (skipped with an
+//     annotation when the recording host had fewer cores than fleet
+//     boards).
 //
 // Documentation claims are gated too: every markdown file passed via
 // -claims is scanned for benchclaim annotations of the form

@@ -11,8 +11,8 @@ import (
 	"sync"
 	"time"
 
+	"rvcap"
 	"rvcap/internal/sched"
-	"rvcap/internal/sim"
 )
 
 // The steady-state benchmark behind BENCH_9.json: the third-round
@@ -26,6 +26,84 @@ import (
 // ratio into the bounded-memory gate and re-checks the end-to-end
 // allocs/op ceiling and events/sec floor against the committed BENCH_8
 // baseline.
+
+// benchRun is one measurement of the end-to-end swap-and-compute
+// scenario: the shape of BENCH_5/8's runs and of BENCH_9's end_to_end.
+type benchRun struct {
+	Queue        string  `json:"queue"`
+	Iterations   int     `json:"iterations"`
+	NsPerOp      int64   `json:"ns_per_op"`
+	AllocsPerOp  uint64  `json:"allocs_per_op"`
+	BytesPerOp   uint64  `json:"bytes_per_op"`
+	Events       uint64  `json:"events"`
+	NsPerEvent   float64 `json:"ns_per_event"`
+	EventsPerSec float64 `json:"events_per_sec"`
+}
+
+// runEndToEnd measures iters iterations of the paper's case-study inner
+// loop (reconfigure + filter a 512x512 image) and returns the per-op
+// cost, allocation counts and kernel event totals. Queue is always
+// "calendar", the kernel's one event queue; the field keeps the record
+// comparable with the committed BENCH_5/8 runs.
+func runEndToEnd(iters int) (benchRun, error) {
+	run := benchRun{Queue: "calendar", Iterations: iters}
+
+	sys, err := rvcap.New(rvcap.WithUnpaddedBitstreams())
+	if err != nil {
+		return run, err
+	}
+	var mods []*rvcap.Module
+	for _, f := range []string{rvcap.Gaussian, rvcap.Median, rvcap.Sobel} {
+		m, err := sys.DefineFilterModule(f)
+		if err != nil {
+			return run, err
+		}
+		mods = append(mods, m)
+	}
+	img := rvcap.TestPattern(512, 512)
+
+	var ms0, ms1 runtime.MemStats
+	startEvents := sys.HW().K.Events()
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		m := mods[i%len(mods)]
+		err := sys.Run(func(s *rvcap.Session) error {
+			if _, err := s.Reconfigure(m); err != nil {
+				return err
+			}
+			_, _, err := s.FilterImage(img)
+			return err
+		})
+		if err != nil {
+			return run, err
+		}
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&ms1)
+
+	run.NsPerOp = elapsed.Nanoseconds() / int64(iters)
+	run.AllocsPerOp = (ms1.Mallocs - ms0.Mallocs) / uint64(iters)
+	run.BytesPerOp = (ms1.TotalAlloc - ms0.TotalAlloc) / uint64(iters)
+	run.Events = sys.HW().K.Events() - startEvents
+	if run.Events > 0 {
+		run.NsPerEvent = float64(elapsed.Nanoseconds()) / float64(run.Events)
+		run.EventsPerSec = float64(run.Events) / elapsed.Seconds()
+	}
+	return run, nil
+}
+
+// steadyFleet is the fleet rung inside BENCH_9.json: the largest board
+// ladder rung, with the same serial-vs-parallel determinism proof as
+// BENCH_6's rungs.
+type steadyFleet struct {
+	Boards                int     `json:"boards"`
+	Jobs                  int     `json:"jobs"`
+	Events                uint64  `json:"events"`
+	AggregateEventsPerSec float64 `json:"aggregate_events_per_sec"`
+	DigestsMatch          bool    `json:"digests_match"`
+}
 
 // steadyLadder is the single-board job ladder. The last two rungs are
 // the bounded-memory pair: a 10x job increase that must not move peak
@@ -94,7 +172,7 @@ type steadyDoc struct {
 
 	// Fleet is the >= 1M-job fleet rung with the serial-vs-parallel
 	// digest proof, showing the merged-histogram path at fleet scale.
-	Fleet cascadeFleet `json:"fleet"`
+	Fleet steadyFleet `json:"fleet"`
 }
 
 // sampleHeap polls HeapAlloc until stop is closed, reporting the peak
@@ -199,8 +277,10 @@ func loadBench8Baseline(path string) (steadyBaseline, error) {
 		return base, err
 	}
 	var doc struct {
-		Experiment string     `json:"experiment"`
-		Data       cascadeDoc `json:"data"`
+		Experiment string `json:"experiment"`
+		Data       struct {
+			Runs []benchRun `json:"runs"`
+		} `json:"data"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return base, fmt.Errorf("%s: %v", path, err)
@@ -248,7 +328,7 @@ func runSteadyJSON(outDir string, iters, hostCores, ladderScale int, baselinePat
 	// process carries a large GC heap that slows this rung by over 2x,
 	// which would make the no-regression comparison measure heap
 	// history rather than the kernel.
-	run, err := runEndToEnd(sim.CalendarQueue, iters)
+	run, err := runEndToEnd(iters)
 	if err != nil {
 		return err
 	}
@@ -305,7 +385,7 @@ func runSteadyJSON(outDir string, iters, hostCores, ladderScale int, baselinePat
 	if !fr.DigestsMatch {
 		return fmt.Errorf("fleet of %d boards: serial and parallel per-board reports diverge", boards)
 	}
-	doc.Fleet = cascadeFleet{
+	doc.Fleet = steadyFleet{
 		Boards:                fr.Boards,
 		Jobs:                  fr.Jobs,
 		Events:                fr.Events,

@@ -8,13 +8,13 @@ import (
 )
 
 // runTracedScenario executes a full reconfiguration-plus-workload
-// scenario with a VCD probe attached and returns the complete trace
-// plus the filtered image bytes. Two invocations must produce
+// scenario with a VCD probe attached and returns the complete trace,
+// the filtered image bytes and the number of kernel events fired. Two invocations must produce
 // byte-identical traces: the simulator guarantees cycle-level
 // reproducibility (see DESIGN.md "Simulation coding rules"), and this
 // test is the enforcement for the parts rvcap-lint cannot prove
 // statically.
-func runTracedScenario(t *testing.T) ([]byte, []byte) {
+func runTracedScenario(t *testing.T) (vcdBytes, img []byte, events uint64) {
 	t.Helper()
 	sys, err := New(WithUnpaddedBitstreams())
 	if err != nil {
@@ -56,7 +56,7 @@ func runTracedScenario(t *testing.T) ([]byte, []byte) {
 	if err := rec.WriteVCD(&vcd); err != nil {
 		t.Fatal(err)
 	}
-	return vcd.Bytes(), append([]byte(nil), out.Pix...)
+	return vcd.Bytes(), append([]byte(nil), out.Pix...), sys.HW().K.Events()
 }
 
 // TestRepeatedRunDeterminism runs the identical scenario twice in fresh
@@ -67,11 +67,14 @@ func runTracedScenario(t *testing.T) ([]byte, []byte) {
 // corrupted a final image, so this is the most sensitive determinism
 // check the repo has.
 func TestRepeatedRunDeterminism(t *testing.T) {
-	vcd1, img1 := runTracedScenario(t)
-	vcd2, img2 := runTracedScenario(t)
+	vcd1, img1, ev1 := runTracedScenario(t)
+	vcd2, img2, ev2 := runTracedScenario(t)
 
 	if !bytes.Equal(img1, img2) {
 		t.Error("filtered image differs between identical runs")
+	}
+	if ev1 != ev2 {
+		t.Errorf("kernel event count differs between identical runs: %d vs %d", ev1, ev2)
 	}
 	if !bytes.Equal(vcd1, vcd2) {
 		if len(vcd1) != len(vcd2) {

@@ -267,24 +267,6 @@ func TestStreamBackpressure(t *testing.T) {
 	}
 }
 
-func TestStreamTryOps(t *testing.T) {
-	k := sim.NewKernel()
-	s := NewStream(k, "s", 1)
-	if _, ok := s.TryPop(); ok {
-		t.Error("TryPop on empty succeeded")
-	}
-	if !s.TryPush(Beat{Data: 7}) {
-		t.Error("TryPush on empty failed")
-	}
-	if s.TryPush(Beat{Data: 8}) {
-		t.Error("TryPush on full succeeded")
-	}
-	b, ok := s.TryPop()
-	if !ok || b.Data != 7 {
-		t.Errorf("TryPop = %v, %v", b, ok)
-	}
-}
-
 func TestStreamSwitchRouting(t *testing.T) {
 	k := sim.NewKernel()
 	icap := NewStream(k, "icap", 16)
@@ -293,20 +275,26 @@ func TestStreamSwitchRouting(t *testing.T) {
 	if sw.Selected() != PortRM {
 		t.Errorf("reset selection = %v, want RM", sw.Selected())
 	}
-	k.Go("m", func(p *sim.Proc) {
-		sw.Push(p, Beat{Data: 1})
-		sw.Select(PortICAP)
-		sw.Push(p, Beat{Data: 2})
-		sw.Select(PortRM)
-		sw.Push(p, Beat{Data: 3})
-	})
+	done := 0
+	count := func() { done++ }
+	sw.PushBurstAsync([]Beat{{Data: 1}}, count)
+	sw.Select(PortICAP)
+	sw.PushBurstAsync([]Beat{{Data: 2}, {Data: 3}}, count)
+	sw.Select(PortRM)
+	sw.PushBurstAsync([]Beat{{Data: 4}}, count)
 	k.Run()
-	if rm.Len() != 2 || icap.Len() != 1 {
-		t.Fatalf("rm=%d icap=%d beats, want 2/1", rm.Len(), icap.Len())
+	if done != 3 {
+		t.Fatalf("%d bursts completed, want 3", done)
 	}
-	if b, _ := icap.TryPop(); b.Data != 2 {
-		t.Errorf("icap beat = %d, want 2", b.Data)
+	if rm.Len() != 2 || icap.Len() != 2 {
+		t.Fatalf("rm=%d icap=%d beats, want 2/2", rm.Len(), icap.Len())
 	}
+	dst := make([]Beat, 4)
+	icap.PopBurstAsync(dst, func(n int) {
+		if n != 2 || dst[0].Data != 2 || dst[1].Data != 3 {
+			t.Errorf("icap beats = %v, want data 2, 3", dst[:n])
+		}
+	})
 }
 
 func TestStreamSwitchBadPortPanics(t *testing.T) {
@@ -324,20 +312,27 @@ func TestStreamIsolator(t *testing.T) {
 	k := sim.NewKernel()
 	dst := NewStream(k, "dst", 16)
 	g := NewStreamIsolator(dst)
-	k.Go("m", func(p *sim.Proc) {
-		g.Push(p, Beat{Data: 1})
-		g.SetDecoupled(true)
-		g.Push(p, Beat{Data: 2})
-		g.Push(p, Beat{Data: 3})
-		g.SetDecoupled(false)
-		g.Push(p, Beat{Data: 4})
-	})
-	k.Run()
-	if dst.Len() != 2 {
-		t.Fatalf("delivered %d beats, want 2", dst.Len())
+	burst := []Beat{{Data: 1}, {Data: 2}, {Data: 3}}
+
+	g.SetDecoupled(true)
+	swallowed := false
+	g.PushBurstAsync(burst, func() { swallowed = true })
+	if !swallowed {
+		t.Fatal("swallowed burst did not complete synchronously")
 	}
-	if g.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", g.Dropped())
+	if g.Dropped() != 3 || dst.Len() != 0 {
+		t.Fatalf("decoupled: dropped=%d delivered=%d, want 3/0", g.Dropped(), dst.Len())
+	}
+
+	g.SetDecoupled(false)
+	delivered := false
+	g.PushBurstAsync(burst[:2], func() { delivered = true })
+	k.Run()
+	if !delivered || dst.Len() != 2 {
+		t.Fatalf("coupled: completed=%v delivered=%d, want true/2", delivered, dst.Len())
+	}
+	if g.Dropped() != 3 {
+		t.Errorf("dropped = %d after a coupled burst, want 3", g.Dropped())
 	}
 }
 

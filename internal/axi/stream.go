@@ -18,10 +18,12 @@ type Beat struct {
 const FullKeep uint8 = 0xFF
 
 // Stream is a point-to-point AXI-Stream channel: a bounded FIFO with
-// ready/valid back-pressure. Push blocks the producer while the FIFO is
-// full; Pop blocks the consumer while it is empty. Throughput pacing
-// (one beat per cycle on each side) is the responsibility of the attached
-// engines, matching how TVALID/TREADY gate real hardware.
+// ready/valid back-pressure. A producer stalls while the FIFO is full
+// and a consumer while it is empty, whether it is a process calling
+// Push/Pop one beat at a time or a device engine moving whole bursts
+// with PushBurstAsync/PopBurstAsync. Throughput pacing (one beat per
+// cycle on each side) is the responsibility of the attached engines,
+// matching how TVALID/TREADY gate real hardware.
 type Stream struct {
 	k        *sim.Kernel
 	name     string
@@ -102,66 +104,14 @@ func (s *Stream) Push(p *sim.Proc, b Beat) {
 	s.notEmpty.Fire()
 }
 
-// PushBurst enqueues all of beats in FIFO order, blocking while the
-// channel is full, and returns only after the final beat is buffered. It
-// is semantically identical to pushing each beat in sequence — consumers
-// are woken at the same points, back-pressure applies beat-by-beat — but
-// costs one kernel handoff per buffer-full instead of four goroutine
-// switches per beat. The caller keeps ownership of beats.
-func (s *Stream) PushBurst(p *sim.Proc, beats []Beat) {
-	for len(beats) > 0 {
-		for s.count == s.capacity {
-			p.Wait(s.notFull)
-		}
-		n := s.capacity - s.count
-		if n > len(beats) {
-			n = len(beats)
-		}
-		for _, b := range beats[:n] {
-			s.buf[(s.head+s.count)%s.capacity] = b
-			s.count++
-		}
-		s.pushed += uint64(n)
-		beats = beats[n:]
-		s.notEmpty.Fire()
-	}
-}
-
-// PopBurst dequeues into dst, blocking until at least one beat is
-// available, then draining buffered beats without yielding. It stops
-// early after a Last beat so a packet boundary is never overrun, and
-// never returns more than len(dst) beats. Returns the number of beats
-// written.
-func (s *Stream) PopBurst(p *sim.Proc, dst []Beat) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	for s.count == 0 {
-		p.Wait(s.notEmpty)
-	}
-	n := 0
-	for n < len(dst) && s.count > 0 {
-		b := s.buf[s.head]
-		s.head = (s.head + 1) % s.capacity
-		s.count--
-		dst[n] = b
-		n++
-		if b.Last {
-			break
-		}
-	}
-	s.popped += uint64(n)
-	s.notFull.Fire()
-	return n
-}
-
-// PushBurstAsync is the continuation-style PushBurst: it deposits the
-// burst with beat-identical back-pressure semantics and calls done once
-// the final beat is buffered. When the FIFO never fills, done runs
-// synchronously (as PushBurst returns without yielding); when it does,
-// the retry resumes at the exact event-queue position a process parked
-// in Wait(notFull) would have. The caller must not reuse beats until
-// done runs.
+// PushBurstAsync enqueues all of beats in FIFO order and calls done once
+// the final beat is buffered. It is beat-for-beat identical to a process
+// calling Push on each beat in turn: consumers are woken at the same
+// points and back-pressure applies beat by beat, but a whole burst costs
+// one handoff per buffer-full instead of one per beat. When the FIFO
+// never fills, done runs synchronously; when it does, the retry resumes
+// at the exact event-queue position a process parked in Wait(notFull)
+// would have. The caller must not reuse beats until done runs.
 func (s *Stream) PushBurstAsync(beats []Beat, done func()) {
 	for len(beats) > 0 {
 		if s.count == s.capacity {
@@ -185,10 +135,13 @@ func (s *Stream) PushBurstAsync(beats []Beat, done func()) {
 	done()
 }
 
-// PopBurstAsync is the continuation-style PopBurst: done(n) receives
-// the drained beat count, synchronously when beats are already buffered
-// and as a same-cycle wake after notEmpty otherwise — cycle accounting
-// identical to a process blocked in PopBurst.
+// PopBurstAsync dequeues into dst and calls done(n) with the number of
+// beats written. Once at least one beat is buffered it drains without
+// yielding, stops early after a Last beat so a packet boundary is never
+// overrun, and never writes more than len(dst) beats. done runs
+// synchronously when beats are already buffered and as a same-cycle
+// wake after notEmpty otherwise, exactly where a process blocked in Pop
+// would have resumed.
 func (s *Stream) PopBurstAsync(dst []Beat, done func(n int)) {
 	if len(dst) == 0 {
 		done(0)
@@ -239,18 +192,6 @@ func (s *Stream) popRetry(dst []Beat, done func(n int)) {
 	s.notEmpty.OnFire(func() { s.PopBurstAsync(dst, done) })
 }
 
-// TryPush enqueues a beat if space is available, without blocking.
-func (s *Stream) TryPush(b Beat) bool {
-	if s.count == s.capacity {
-		return false
-	}
-	s.buf[(s.head+s.count)%s.capacity] = b
-	s.count++
-	s.pushed++
-	s.notEmpty.Fire()
-	return true
-}
-
 // Pop dequeues a beat, blocking while the FIFO is empty (TVALID low).
 func (s *Stream) Pop(p *sim.Proc) Beat {
 	for s.count == 0 {
@@ -264,40 +205,15 @@ func (s *Stream) Pop(p *sim.Proc) Beat {
 	return b
 }
 
-// TryPop dequeues a beat if one is buffered, without blocking.
-func (s *Stream) TryPop() (Beat, bool) {
-	if s.count == 0 {
-		return Beat{}, false
-	}
-	b := s.buf[s.head]
-	s.head = (s.head + 1) % s.capacity
-	s.count--
-	s.popped++
-	s.notFull.Fire()
-	return b, true
-}
-
 // StreamSink is anything beats can be pushed into: a Stream, the
-// StreamSwitch, or an isolator gate. PushBurst is the bulk path device
-// engines should prefer (see the burst-accounting lint rule): it moves a
-// whole DMA burst or pixel row per kernel handoff while observing the
-// same beat-level back-pressure.
+// StreamSwitch, or an isolator gate. Device engines move whole DMA
+// bursts or pixel rows per call (see the burst-accounting lint rule).
 type StreamSink interface {
-	Push(p *sim.Proc, b Beat)
-	PushBurst(p *sim.Proc, beats []Beat)
-	// PushBurstAsync is the continuation-style PushBurst used by the
-	// state-machine device engines: same back-pressure, done called
-	// when the final beat is buffered.
 	PushBurstAsync(beats []Beat, done func())
 }
 
-// StreamSource is anything beats can be popped from. PopBurst drains up
-// to len(dst) buffered beats per handoff, stopping after TLAST.
+// StreamSource is anything beats can be popped from.
 type StreamSource interface {
-	Pop(p *sim.Proc) Beat
-	PopBurst(p *sim.Proc, dst []Beat) int
-	// PopBurstAsync is the continuation-style PopBurst: done(n)
-	// receives the drained count once at least one beat is available.
 	PopBurstAsync(dst []Beat, done func(n int))
 }
 
@@ -334,7 +250,7 @@ func (sp SwitchPort) String() string {
 // does not protect against; the model exposes it via the Busy check.
 type StreamSwitch struct {
 	name string
-	outs map[SwitchPort]StreamSink
+	outs [2]StreamSink // indexed by SwitchPort
 	sel  SwitchPort
 }
 
@@ -343,14 +259,14 @@ type StreamSwitch struct {
 func NewStreamSwitch(name string, icap, rm StreamSink) *StreamSwitch {
 	return &StreamSwitch{
 		name: name,
-		outs: map[SwitchPort]StreamSink{PortICAP: icap, PortRM: rm},
+		outs: [2]StreamSink{PortICAP: icap, PortRM: rm},
 		sel:  PortRM,
 	}
 }
 
 // Select steers subsequent beats to port.
 func (sw *StreamSwitch) Select(port SwitchPort) {
-	if _, ok := sw.outs[port]; !ok {
+	if port < 0 || int(port) >= len(sw.outs) {
 		panic(fmt.Sprintf("axi: %s: no output on port %v", sw.name, port))
 	}
 	sw.sel = port
@@ -358,16 +274,6 @@ func (sw *StreamSwitch) Select(port SwitchPort) {
 
 // Selected returns the currently selected port.
 func (sw *StreamSwitch) Selected() SwitchPort { return sw.sel }
-
-// Push forwards the beat to the selected output.
-func (sw *StreamSwitch) Push(p *sim.Proc, b Beat) {
-	sw.outs[sw.sel].Push(p, b)
-}
-
-// PushBurst forwards the whole burst to the selected output.
-func (sw *StreamSwitch) PushBurst(p *sim.Proc, beats []Beat) {
-	sw.outs[sw.sel].PushBurst(p, beats)
-}
 
 // PushBurstAsync forwards the whole burst to the selected output.
 func (sw *StreamSwitch) PushBurstAsync(beats []Beat, done func()) {
@@ -401,29 +307,10 @@ func (g *StreamIsolator) Decoupled() bool { return g.decoupled }
 // Dropped returns how many beats were swallowed while decoupled.
 func (g *StreamIsolator) Dropped() uint64 { return g.dropped }
 
-// Push forwards or swallows the beat depending on the gate state.
-func (g *StreamIsolator) Push(p *sim.Proc, b Beat) {
-	if g.decoupled {
-		g.dropped++
-		return
-	}
-	g.Next.Push(p, b)
-}
-
-// PushBurst forwards or swallows the whole burst depending on the gate
-// state. The gate cannot change mid-burst: decoupling is a register
-// write, and register writes never interleave with a burst in flight.
-func (g *StreamIsolator) PushBurst(p *sim.Proc, beats []Beat) {
-	if g.decoupled {
-		g.dropped += uint64(len(beats))
-		return
-	}
-	g.Next.PushBurst(p, beats)
-}
-
 // PushBurstAsync forwards or swallows the whole burst depending on the
-// gate state; a swallowed burst completes immediately, as the blocking
-// path returns without yielding.
+// gate state; a swallowed burst completes synchronously. The gate cannot
+// change mid-burst: decoupling is a register write, and register writes
+// never interleave with a burst in flight.
 func (g *StreamIsolator) PushBurstAsync(beats []Beat, done func()) {
 	if g.decoupled {
 		g.dropped += uint64(len(beats))

@@ -441,7 +441,7 @@ var burstAccounting = &Rule{
 	Name: "burst-accounting",
 	Doc: "flags per-beat axi Push calls inside loop bodies in internal/ device " +
 		"packages (outside internal/axi itself): a beat-by-beat push loop costs a " +
-		"full kernel handoff per beat; move whole bursts or rows with PushBurst, " +
+		"full kernel handoff per beat; move whole bursts or rows with PushBurstAsync, " +
 		"which charges identical cycle counts at a fraction of the host cost",
 	Run: func(c *Context) {
 		if !strings.HasPrefix(c.Pkg.ImportPath, c.Module.Path+"/internal/") ||
@@ -470,7 +470,7 @@ var burstAccounting = &Rule{
 					return true
 				}
 				seen[call.Pos()] = true
-				c.Reportf(call.Pos(), "per-beat axi Push inside a loop: each call costs a full kernel handoff; batch the beats and use PushBurst (identical cycle accounting, one handoff per burst)")
+				c.Reportf(call.Pos(), "per-beat axi Push inside a loop: each call costs a full kernel handoff; batch the beats and use PushBurstAsync (identical cycle accounting, one handoff per burst)")
 				return true
 			})
 		}

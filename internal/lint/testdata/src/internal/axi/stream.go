@@ -1,6 +1,6 @@
 // Package axi is a miniature stand-in for the real AXI-Stream channel:
 // just enough surface for the burst-accounting golden files. The Push
-// loop inside PushBurst below is the implementation the rule's
+// loop inside PushBurstAsync below is the implementation the rule's
 // internal/axi carve-out must NOT flag.
 package axi
 
@@ -18,11 +18,12 @@ type Stream struct{ buf []Beat }
 // Push enqueues one beat.
 func (s *Stream) Push(p *sim.Proc, b Beat) { s.buf = append(s.buf, b) }
 
-// PushBurst enqueues a whole burst in one handoff.
-func (s *Stream) PushBurst(p *sim.Proc, beats []Beat) {
+// PushBurstAsync enqueues a whole burst in one handoff and calls done.
+func (s *Stream) PushBurstAsync(beats []Beat, done func()) {
 	for _, b := range beats {
-		s.Push(p, b)
+		s.Push(nil, b)
 	}
+	done()
 }
 
 // Pop dequeues one beat.
@@ -32,15 +33,15 @@ func (s *Stream) Pop(p *sim.Proc) Beat {
 	return b
 }
 
-// PopBurst dequeues up to len(dst) beats.
-func (s *Stream) PopBurst(p *sim.Proc, dst []Beat) int {
+// PopBurstAsync dequeues up to len(dst) beats and calls done with the
+// count.
+func (s *Stream) PopBurstAsync(dst []Beat, done func(n int)) {
 	n := copy(dst, s.buf)
 	s.buf = s.buf[n:]
-	return n
+	done(n)
 }
 
 // StreamSink is anything beats can be pushed into.
 type StreamSink interface {
-	Push(p *sim.Proc, b Beat)
-	PushBurst(p *sim.Proc, beats []Beat)
+	PushBurstAsync(beats []Beat, done func())
 }

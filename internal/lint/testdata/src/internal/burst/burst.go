@@ -15,11 +15,11 @@ func perBeatRange(p *sim.Proc, s *axi.Stream, beats []axi.Beat) {
 	}
 }
 
-// perBeatFor pushes beat-by-beat from a counted loop, through the sink
-// interface: flagged.
-func perBeatFor(p *sim.Proc, sink axi.StreamSink, beats []axi.Beat) {
+// perBeatFor pushes beat-by-beat from a counted loop, indexing the
+// burst: flagged.
+func perBeatFor(p *sim.Proc, s *axi.Stream, beats []axi.Beat) {
 	for i := 0; i < len(beats); i++ {
-		sink.Push(p, beats[i]) // want "burst-accounting"
+		s.Push(p, beats[i]) // want "burst-accounting"
 	}
 }
 
@@ -32,11 +32,11 @@ func nested(p *sim.Proc, s *axi.Stream, rows [][]axi.Beat) {
 	}
 }
 
-// burstHandoff is the sanctioned bulk path: not flagged.
-func burstHandoff(p *sim.Proc, s *axi.Stream, beats []axi.Beat) {
-	for len(beats) > 0 {
-		s.PushBurst(p, beats)
-		beats = nil
+// burstHandoff is the sanctioned bulk path, here through the sink
+// interface: not flagged.
+func burstHandoff(sink axi.StreamSink, rows [][]axi.Beat, done func()) {
+	for _, row := range rows {
+		sink.PushBurstAsync(row, done)
 	}
 }
 

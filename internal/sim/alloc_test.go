@@ -13,7 +13,7 @@ import "testing"
 // same-cycle event (bucket append), a small in-window delay, and a
 // beyond-window delay that takes the far heap and migrates back.
 func TestCalendarEnqueueZeroAlloc(t *testing.T) {
-	k := NewKernel(WithQueue(CalendarQueue))
+	k := NewKernel()
 	fn := func() {}
 	round := func() {
 		k.Schedule(0, fn)            // same cycle
@@ -32,7 +32,7 @@ func TestCalendarEnqueueZeroAlloc(t *testing.T) {
 // subscription append, the Fire sweep, and the same-cycle dispatch must
 // all reuse their backing arrays.
 func TestOnFireRearmZeroAlloc(t *testing.T) {
-	k := NewKernel(WithQueue(CalendarQueue))
+	k := NewKernel()
 	sig := NewSignal(k, "rearm")
 	fires := 0
 	fn := func() { fires++ }
@@ -53,7 +53,7 @@ func TestOnFireRearmZeroAlloc(t *testing.T) {
 // TestWaitRearmZeroAlloc is the process-side twin: a Proc parked in
 // Wait is woken by Fire without a per-wake closure or boxed event.
 func TestWaitRearmZeroAlloc(t *testing.T) {
-	k := NewKernel(WithQueue(CalendarQueue))
+	k := NewKernel()
 	sig := NewSignal(k, "wait")
 	wakes := 0
 	k.Go("waiter", func(p *Proc) {
@@ -81,7 +81,7 @@ func TestWaitRearmZeroAlloc(t *testing.T) {
 // pending, so each round also recycles buckets and migrates the far
 // heap. Only the sleep that the far event precedes is queued.
 func TestSleepInPlaceZeroAlloc(t *testing.T) {
-	k := NewKernel(WithQueue(CalendarQueue))
+	k := NewKernel()
 	start := NewSignal(k, "start")
 	fn := func() {}
 	sleeps := 0

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -16,7 +18,8 @@ import (
 // no Schedule interleaved at the capped cycle, can observe a window
 // that skipped past a migrated event.
 func TestRunUntilCappedMigrationInvariant(t *testing.T) {
-	bothQueues(t, func(t *testing.T, k *Kernel) {
+	t.Run("calendar", func(t *testing.T) {
+		k := NewKernel()
 		var got []string
 		log := func(tag string) func() {
 			return func() { got = append(got, fmt.Sprintf("%s@%d", tag, k.Now())) }
@@ -28,10 +31,9 @@ func TestRunUntilCappedMigrationInvariant(t *testing.T) {
 		k.At(ringSize+1, log("far-a"))
 		k.At(2*ringSize+5, log("far-b"))
 
-		// Capped run that stops between events: for the calendar queue
-		// this advances base to the limit and migrates far-a (and
-		// edge-out) into ring buckets while returning "nothing fired
-		// past the limit".
+		// Capped run that stops between events: this advances base to
+		// the limit and migrates far-a (and edge-out) into ring buckets
+		// while returning "nothing fired past the limit".
 		k.RunUntil(ringSize - 1)
 		if want := []string{fmt.Sprintf("edge-in@%d", ringSize-1)}; len(got) != 1 || got[0] != want[0] {
 			t.Fatalf("after capped run got %v, want %v", got, want)
@@ -76,7 +78,8 @@ func TestRunUntilCappedMigrationInvariant(t *testing.T) {
 // base+ringSize boundaries, with a pending far event beyond each cap,
 // verifying no cap sequence can lose or reorder the migrated events.
 func TestRunUntilCappedThenRepeatedCaps(t *testing.T) {
-	bothQueues(t, func(t *testing.T, k *Kernel) {
+	t.Run("calendar", func(t *testing.T) {
+		k := NewKernel()
 		var fired []Time
 		for _, at := range []Time{ringSize + 1, 2 * ringSize, 3*ringSize - 1, 3 * ringSize, 3*ringSize + 1} {
 			at := at
@@ -99,6 +102,114 @@ func TestRunUntilCappedThenRepeatedCaps(t *testing.T) {
 			t.Fatalf("Now() = %d, want %d", k.Now(), 4*ringSize)
 		}
 	})
+}
+
+// oracleKernel is the surface the oracle's op generator drives. The
+// kernel under test (through calendarKernel) and the reference model
+// (refKernel) both satisfy it, so the generator is written once.
+type oracleKernel interface {
+	Now() Time
+	Schedule(delay Time, fn func())
+	// Spawn starts a process at the current cycle; body sleeps through
+	// the function it is handed.
+	Spawn(name string, body func(sleep func(Time)))
+	Halt()
+	Step() bool
+	Run()
+	RunUntil(t Time)
+	Pending() int
+	Events() uint64
+}
+
+// calendarKernel adapts the kernel under test to oracleKernel.
+type calendarKernel struct{ *Kernel }
+
+func (k calendarKernel) Spawn(name string, body func(sleep func(Time))) {
+	k.Go(name, func(p *Proc) { body(p.Sleep) })
+}
+
+// refEvent is one event of the reference model's queue.
+type refEvent struct {
+	at Time
+	fn func()
+}
+
+// refKernel is the oracle's reference model: the plainest kernel with
+// the semantics the simulator promises. Events live in one slice sorted
+// by (cycle, scheduling order); every Step pops the head, sets the time
+// and counts it.
+// Processes are goroutines with a strict channel handoff, and a sleep
+// always queues its wake, so there is no in-place time advance, no
+// bucket ring, no far heap and no migration to get wrong. Halt,
+// RunUntil, Step and Pending keep the contract the sim.Kernel docs
+// state.
+type refKernel struct {
+	now    Time
+	halt   bool
+	fired  uint64
+	events []refEvent
+}
+
+func (r *refKernel) Now() Time                      { return r.now }
+func (r *refKernel) Halt()                          { r.halt = true }
+func (r *refKernel) Pending() int                   { return len(r.events) }
+func (r *refKernel) Events() uint64                 { return r.fired }
+func (r *refKernel) Schedule(delay Time, fn func()) { r.push(r.now+delay, fn) }
+
+// push inserts behind every event due at or before t, which keeps
+// same-cycle events in scheduling order.
+func (r *refKernel) push(t Time, fn func()) {
+	i := sort.Search(len(r.events), func(i int) bool { return r.events[i].at > t })
+	r.events = slices.Insert(r.events, i, refEvent{at: t, fn: fn})
+}
+
+func (r *refKernel) Step() bool {
+	if len(r.events) == 0 {
+		return false
+	}
+	e := r.events[0]
+	r.events = r.events[1:]
+	r.now = e.at
+	r.fired++
+	e.fn()
+	return true
+}
+
+func (r *refKernel) Run() {
+	r.halt = false
+	for !r.halt && r.Step() {
+	}
+}
+
+func (r *refKernel) RunUntil(t Time) {
+	r.halt = false
+	for !r.halt && len(r.events) > 0 && r.events[0].at <= t {
+		r.Step()
+	}
+	if !r.halt && r.now < t {
+		r.now = t
+	}
+}
+
+// Spawn runs body on its own goroutine. Exactly one side runs at a
+// time: dispatch hands the goroutine the turn and blocks until it sleeps
+// (having queued its wake) or returns.
+func (r *refKernel) Spawn(name string, body func(sleep func(Time))) {
+	turn, yield := make(chan struct{}), make(chan struct{})
+	dispatch := func() {
+		turn <- struct{}{}
+		<-yield
+	}
+	go func() {
+		<-turn
+		body(func(d Time) {
+			r.push(r.now+d, dispatch)
+			yield <- struct{}{}
+			<-turn
+		})
+		yield <- struct{}{}
+	}()
+	r.push(r.now, dispatch)
 }
 
 // oracleRand is the oracle's source of choices: math/rand for the
@@ -126,13 +237,12 @@ func (r *byteRand) Intn(n int) int {
 // schedule / cascade / process / halt / RunUntil / Step operations and
 // returns the observable trace: firing order with cycles, final time,
 // and the fired counter. The op stream is a pure function of the choice
-// source, so running it once per queue implementation yields directly
-// comparable traces. Processes sleep from the same boundary delay mix as
-// the callbacks: on the calendar queue a sleep with nothing due before
-// its wake-up advances time in place, while the legacy heap always
-// queues the wake, so any drift of the in-place path shows up here.
-func oracleRun(q QueueKind, rng oracleRand) (trace []string, now Time, fired uint64) {
-	k := NewKernel(WithQueue(q))
+// source, so running it once per kernel yields directly comparable
+// traces. Processes sleep from the same boundary delay mix as the
+// callbacks: on the kernel under test a sleep with nothing due before
+// its wake-up advances time in place, while the reference always queues
+// the wake, so any drift of the in-place path shows up here.
+func oracleRun(k oracleKernel, rng oracleRand) (trace []string, now Time, fired uint64) {
 	id := 0
 	procs := 0
 	// Delay mix biased toward the interesting boundaries: same-cycle
@@ -183,9 +293,9 @@ func oracleRun(q QueueKind, rng oracleRand) (trace []string, now Time, fired uin
 		procs++
 		n := id
 		id++
-		k.Go(fmt.Sprintf("p%d", n), func(p *Proc) {
+		k.Spawn(fmt.Sprintf("p%d", n), func(sleep func(Time)) {
 			for i, m := 0, 1+rng.Intn(8); i < m; i++ {
-				trace = append(trace, fmt.Sprintf("p%d.%d@%d", n, i, p.Now()))
+				trace = append(trace, fmt.Sprintf("p%d.%d@%d", n, i, k.Now()))
 				switch rng.Intn(8) {
 				case 0:
 					schedule(depth + 1)
@@ -198,9 +308,9 @@ func oracleRun(q QueueKind, rng oracleRand) (trace []string, now Time, fired uin
 						k.Halt()
 					}
 				}
-				p.Sleep(delay())
+				sleep(delay())
 			}
-			trace = append(trace, fmt.Sprintf("p%d.end@%d", n, p.Now()))
+			trace = append(trace, fmt.Sprintf("p%d.end@%d", n, k.Now()))
 		})
 	}
 	for round := 0; round < 40; round++ {
@@ -234,7 +344,7 @@ func oracleRun(q QueueKind, rng oracleRand) (trace []string, now Time, fired uin
 	}
 	k.Run()
 	// A Halt fired by the final Run leaves events pending; drain them so
-	// both queues account for every scheduled event.
+	// both kernels account for every scheduled event.
 	for k.Pending() > 0 {
 		k.Run()
 	}
@@ -259,39 +369,40 @@ func oracleRun(q QueueKind, rng oracleRand) (trace []string, now Time, fired uin
 	return trace, k.Now(), k.Events()
 }
 
-// compareOracle runs the oracle once per queue, each with a fresh choice
-// source from src, and fails on the first difference in trace, final
-// time or fired count. It returns the trace length.
+// compareOracle runs the oracle on the kernel under test and on the
+// reference model, each with a fresh choice source from src, and fails
+// on the first difference in trace, final time or fired count. It
+// returns the trace length.
 func compareOracle(t *testing.T, src func() oracleRand) int {
 	t.Helper()
-	ct, cn, cf := oracleRun(CalendarQueue, src())
-	lt, ln, lf := oracleRun(LegacyHeap, src())
-	if len(ct) != len(lt) {
-		t.Fatalf("trace lengths differ: calendar %d, legacy %d", len(ct), len(lt))
+	ct, cn, cf := oracleRun(calendarKernel{NewKernel()}, src())
+	rt, rn, rf := oracleRun(&refKernel{}, src())
+	if len(ct) != len(rt) {
+		t.Fatalf("trace lengths differ: calendar %d, reference %d", len(ct), len(rt))
 	}
 	for i := range ct {
-		if ct[i] != lt[i] {
-			t.Fatalf("trace[%d] differs: calendar %q, legacy %q", i, ct[i], lt[i])
+		if ct[i] != rt[i] {
+			t.Fatalf("trace[%d] differs: calendar %q, reference %q", i, ct[i], rt[i])
 		}
 	}
-	if cn != ln {
-		t.Fatalf("final Now differs: calendar %d, legacy %d", cn, ln)
+	if cn != rn {
+		t.Fatalf("final Now differs: calendar %d, reference %d", cn, rn)
 	}
-	if cf != lf {
-		t.Fatalf("fired counts differ: calendar %d, legacy %d", cf, lf)
+	if cf != rf {
+		t.Fatalf("fired counts differ: calendar %d, reference %d", cf, rf)
 	}
 	return len(ct)
 }
 
 // TestCalendarFuzzOracleMatchesLegacy is the randomized equivalence
-// oracle: identical seeded schedule/process/halt/RunUntil/Step sequences
-// through the calendar queue and the legacy heap must produce identical
+// oracle against the reference model, which keeps the semantics of the
+// retired legacy heap queue: identical seeded
+// schedule/process/halt/RunUntil/Step sequences must produce identical
 // fire order, identical final time, and identical fired counts —
 // including the same-cycle cascade compaction path, far-heap migrations
 // at the base+ringSize±1 boundaries and in-place process sleeps.
 func TestCalendarFuzzOracleMatchesLegacy(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		seed := seed
+	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			n := compareOracle(t, func() oracleRand { return rand.New(rand.NewSource(seed)) })
 			if n < 200 {
@@ -301,10 +412,9 @@ func TestCalendarFuzzOracleMatchesLegacy(t *testing.T) {
 	}
 }
 
-// FuzzKernelOracle is the same calendar-vs-legacy oracle with the
-// fuzzer choosing every delay, cascade, spawn, halt and run cap. The
-// committed corpus under testdata/fuzz/FuzzKernelOracle runs as part of
-// go test.
+// FuzzKernelOracle is the same oracle with the fuzzer choosing every
+// delay, cascade, spawn, halt and run cap. The committed corpus under
+// testdata/fuzz/FuzzKernelOracle runs as part of go test.
 func FuzzKernelOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -320,7 +430,8 @@ func FuzzKernelOracle(f *testing.F) {
 // bucket slot one window later. drain must not fire that wake from the
 // stale bucket at the current cycle.
 func TestInPlaceSleepStaleBucket(t *testing.T) {
-	bothQueues(t, func(t *testing.T, k *Kernel) {
+	t.Run("calendar", func(t *testing.T) {
+		k := NewKernel()
 		var got []string
 		log := func(tag string) { got = append(got, fmt.Sprintf("%s@%d", tag, k.Now())) }
 		k.Go("p", func(p *Proc) {
@@ -347,7 +458,8 @@ func TestInPlaceSleepStaleBucket(t *testing.T) {
 // first), and none at all (the sleep advances in place and setBase
 // migrates nothing early).
 func TestInPlaceSleepFarEvents(t *testing.T) {
-	bothQueues(t, func(t *testing.T, k *Kernel) {
+	t.Run("calendar", func(t *testing.T) {
+		k := NewKernel()
 		var got []string
 		log := func(tag string) { got = append(got, fmt.Sprintf("%s@%d", tag, k.Now())) }
 		k.At(ringSize+10, func() { log("far-a") })

@@ -14,7 +14,7 @@ import "math/bits"
 //
 // The ring covers the next ringSize cycles [base, base+ringSize).
 // Events beyond the window go to `far`, a value-typed min-heap ordered
-// by (at, seq) — no container/heap, no interface conversions. Whenever
+// by (at, seq) — no heap.Interface, no interface conversions. Whenever
 // the window advances, far events that fall inside the new window
 // migrate into their buckets; because migration happens the moment a
 // cycle becomes coverable, and pops the heap in (at, seq) order, every
@@ -116,19 +116,8 @@ func (k *Kernel) position(limit Time) bool {
 	for {
 		b := &k.ring[k.base&ringMask]
 		if k.pos < len(*b) {
-			// A same-cycle cascade (events scheduling more events for
-			// the current cycle) appends to the bucket being drained,
-			// so it never fully empties; compact the dead prefix once
-			// it dominates, keeping memory bounded and appends inside
-			// the warm backing array. Amortized O(1) per event.
 			if k.pos >= 64 && k.pos >= len(*b)-k.pos {
-				n := copy(*b, (*b)[k.pos:])
-				tail := (*b)[n:]
-				for j := range tail {
-					tail[j] = entry{}
-				}
-				*b = (*b)[:n]
-				k.pos = 0
+				k.compact(b)
 			}
 			return k.base <= limit
 		}
@@ -159,15 +148,28 @@ func (k *Kernel) position(limit Time) bool {
 	}
 }
 
+// compact drops the fired prefix b[:pos] of the current bucket. A
+// same-cycle cascade (events scheduling more events for the current
+// cycle) appends to the bucket being drained, so it never fully
+// empties; callers compact once the dead prefix dominates
+// (pos >= 64 && pos >= len-pos), which keeps memory bounded and appends
+// inside the warm backing array at amortized O(1) per event.
+func (k *Kernel) compact(b *[]entry) {
+	n := copy(*b, (*b)[k.pos:])
+	clear((*b)[n:])
+	*b = (*b)[:n]
+	k.pos = 0
+}
+
 // drain runs every entry of the current cycle's bucket — including
 // same-cycle cascade appends — in one pass, advancing time once and
 // re-checking nothing but the bucket length per event. position() pays
 // the window bookkeeping per *cycle*; drain() makes each event inside
 // the cycle cost a slice index, a counter, and the dispatch. The
-// dead-prefix compaction is folded into the loop so a long cascade
-// (events perpetually appending to the bucket being drained) stays in
-// bounded memory, exactly as position() would have kept it. Returns
-// when the bucket is exhausted or Halt was called mid-cascade.
+// dead-prefix check (see compact) is folded into the loop so a long
+// cascade (events perpetually appending to the bucket being drained)
+// stays in bounded memory, exactly as position() would have kept it.
+// Returns when the bucket is exhausted or Halt was called mid-cascade.
 //
 // Callers must have established via position() that ring[base&ringMask]
 // holds the earliest pending event.
@@ -183,13 +185,7 @@ func (k *Kernel) drain() {
 	k.now = base
 	for k.pos < len(*b) && !k.halt && k.base == base {
 		if k.pos >= 64 && k.pos >= len(*b)-k.pos {
-			n := copy(*b, (*b)[k.pos:])
-			tail := (*b)[n:]
-			for j := range tail {
-				tail[j] = entry{}
-			}
-			*b = (*b)[:n]
-			k.pos = 0
+			k.compact(b)
 		}
 		e := (*b)[k.pos]
 		(*b)[k.pos] = entry{} // drop references so recycled slots don't pin closures

@@ -2,45 +2,15 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 )
-
-// bothQueues runs fn once per queue implementation so behavioural tests
-// cover the calendar ring and the legacy heap identically.
-func bothQueues(t *testing.T, fn func(t *testing.T, k *Kernel)) {
-	t.Helper()
-	for _, q := range []QueueKind{CalendarQueue, LegacyHeap} {
-		name := "calendar"
-		if q == LegacyHeap {
-			name = "legacy"
-		}
-		t.Run(name, func(t *testing.T) {
-			fn(t, NewKernel(WithQueue(q)))
-		})
-	}
-}
-
-func TestQueueKindSelection(t *testing.T) {
-	if q := NewKernel().Queue(); q != CalendarQueue {
-		t.Fatalf("default queue = %v, want CalendarQueue", q)
-	}
-	if q := NewKernel(WithQueue(LegacyHeap)).Queue(); q != LegacyHeap {
-		t.Fatalf("WithQueue(LegacyHeap) queue = %v, want LegacyHeap", q)
-	}
-	old := DefaultQueue
-	DefaultQueue = LegacyHeap
-	defer func() { DefaultQueue = old }()
-	if q := NewKernel().Queue(); q != LegacyHeap {
-		t.Fatalf("DefaultQueue=LegacyHeap kernel queue = %v, want LegacyHeap", q)
-	}
-}
 
 // TestCalendarFarFutureOrdering schedules events far beyond the ring
 // window interleaved with near events and checks global (time, FIFO)
 // order survives the far-heap migration.
 func TestCalendarFarFutureOrdering(t *testing.T) {
-	bothQueues(t, func(t *testing.T, k *Kernel) {
+	t.Run("calendar", func(t *testing.T) {
+		k := NewKernel()
 		var got []string
 		add := func(at Time, tag string) {
 			k.At(at, func() { got = append(got, fmt.Sprintf("%d:%s", at, tag)) })
@@ -65,56 +35,13 @@ func TestCalendarFarFutureOrdering(t *testing.T) {
 	})
 }
 
-// TestCalendarRandomStormMatchesLegacy drives both queues with an
-// identical pseudo-random schedule (including events landing exactly on
-// window boundaries) and requires identical firing order.
-func TestCalendarRandomStormMatchesLegacy(t *testing.T) {
-	run := func(q QueueKind) []string {
-		k := NewKernel(WithQueue(q))
-		rng := rand.New(rand.NewSource(42))
-		var got []string
-		var id int
-		var spawn func(depth int)
-		spawn = func(depth int) {
-			n := id
-			id++
-			// Mix of same-cycle, in-window, boundary and far delays.
-			delays := []Time{0, 1, ringSize - 1, ringSize, ringSize + 1, Time(rng.Intn(4 * ringSize))}
-			d := delays[rng.Intn(len(delays))]
-			k.Schedule(d, func() {
-				got = append(got, fmt.Sprintf("%d@%d", n, k.Now()))
-				if depth < 4 {
-					spawn(depth + 1)
-					spawn(depth + 1)
-				}
-			})
-		}
-		for i := 0; i < 8; i++ {
-			spawn(0)
-		}
-		k.Run()
-		return got
-	}
-	a, b := run(CalendarQueue), run(LegacyHeap)
-	if len(a) != len(b) {
-		t.Fatalf("event counts differ: calendar %d, legacy %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("event %d differs: calendar %q, legacy %q", i, a[i], b[i])
-		}
-	}
-	if len(a) < 100 {
-		t.Fatalf("storm too small to be meaningful: %d events", len(a))
-	}
-}
-
 // TestRunUntilBetweenEvents advances time to a t that no event lands on,
 // with the next event beyond the calendar window, and checks that (a) the
 // queue keeps the pending event, (b) time reads t, and (c) scheduling at
 // the new current time still works — i.e. the bucket window followed time.
 func TestRunUntilBetweenEvents(t *testing.T) {
-	bothQueues(t, func(t *testing.T, k *Kernel) {
+	t.Run("calendar", func(t *testing.T) {
+		k := NewKernel()
 		var fired []Time
 		k.At(5, func() { fired = append(fired, k.Now()) })
 		k.At(3*ringSize, func() { fired = append(fired, k.Now()) })
@@ -145,7 +72,8 @@ func TestRunUntilBetweenEvents(t *testing.T) {
 // still advance time, and later scheduling from that time must work even
 // though the calendar window was never walked forward.
 func TestRunUntilEmptyQueueThenSchedule(t *testing.T) {
-	bothQueues(t, func(t *testing.T, k *Kernel) {
+	t.Run("calendar", func(t *testing.T) {
+		k := NewKernel()
 		k.RunUntil(1_000_000)
 		if k.Now() != 1_000_000 {
 			t.Fatalf("Now() = %d, want 1000000", k.Now())
@@ -163,7 +91,8 @@ func TestRunUntilEmptyQueueThenSchedule(t *testing.T) {
 // subscription leak: a WaitAny polling loop must not grow the waiter
 // lists of the signals that keep losing.
 func TestWaitAnySweepsLosers(t *testing.T) {
-	bothQueues(t, func(t *testing.T, k *Kernel) {
+	t.Run("calendar", func(t *testing.T) {
+		k := NewKernel()
 		a := NewSignal(k, "a")
 		b := NewSignal(k, "b")
 		c := NewSignal(k, "c")
@@ -200,7 +129,8 @@ func TestWaitAnySweepsLosers(t *testing.T) {
 // firing a losing signal later must not wake anything or panic — its
 // subscription was swept.
 func TestWaitAnyStaleFireIsNoop(t *testing.T) {
-	bothQueues(t, func(t *testing.T, k *Kernel) {
+	t.Run("calendar", func(t *testing.T) {
+		k := NewKernel()
 		a := NewSignal(k, "a")
 		b := NewSignal(k, "b")
 		wakes := 0
@@ -228,7 +158,8 @@ func TestWaitAnyStaleFireIsNoop(t *testing.T) {
 // in the same cycle must wake the process exactly once, attributed to
 // whichever fired first.
 func TestWaitAnySameCycleDoubleFire(t *testing.T) {
-	bothQueues(t, func(t *testing.T, k *Kernel) {
+	t.Run("calendar", func(t *testing.T) {
+		k := NewKernel()
 		a := NewSignal(k, "a")
 		b := NewSignal(k, "b")
 		var got []int
@@ -249,7 +180,8 @@ func TestWaitAnySameCycleDoubleFire(t *testing.T) {
 // TestResourceFIFOFairness: N contenders acquiring in a loop must be
 // granted strictly round-robin — no waiter is ever passed over.
 func TestResourceFIFOFairness(t *testing.T) {
-	bothQueues(t, func(t *testing.T, k *Kernel) {
+	t.Run("calendar", func(t *testing.T) {
+		k := NewKernel()
 		r := NewResource(k, "ddr")
 		const workers = 5
 		const rounds = 20
