@@ -18,6 +18,7 @@ package rvcap
 // cost, not the hardware time — hardware times are inside the tables.
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -173,36 +174,46 @@ func BenchmarkAblationSafeValidation(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEndSwapAndCompute measures the simulator's own speed on
-// the paper's case-study inner loop (reconfigure + filter one image) —
-// useful for tracking the cost of the simulation itself.
-func BenchmarkEndToEndSwapAndCompute(b *testing.B) {
+// newSwapLoop builds the paper's case-study system with the three
+// filter modules defined and returns it with the inner loop's op i:
+// reconfigure module i mod 3, then filter one 512x512 image.
+func newSwapLoop(tb testing.TB) (*System, func(i int) error) {
+	tb.Helper()
 	sys, err := New(WithUnpaddedBitstreams())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	mods := make([]*Module, 0, 3)
 	for _, f := range []string{Gaussian, Median, Sobel} {
 		m, err := sys.DefineFilterModule(f)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		mods = append(mods, m)
 	}
 	img := TestPattern(512, 512)
-	startEvents := sys.HW().K.Events()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return sys, func(i int) error {
 		m := mods[i%len(mods)]
-		err := sys.Run(func(s *Session) error {
+		return sys.Run(func(s *Session) error {
 			if _, err := s.Reconfigure(m); err != nil {
 				return err
 			}
 			_, _, err := s.FilterImage(img)
 			return err
 		})
-		if err != nil {
+	}
+}
+
+// BenchmarkEndToEndSwapAndCompute measures the simulator's own speed on
+// the paper's case-study inner loop (reconfigure + filter one image) —
+// useful for tracking the cost of the simulation itself.
+func BenchmarkEndToEndSwapAndCompute(b *testing.B) {
+	sys, op := newSwapLoop(b)
+	startEvents := sys.HW().K.Events()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(i); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -210,5 +221,35 @@ func BenchmarkEndToEndSwapAndCompute(b *testing.B) {
 	if ev := sys.HW().K.Events() - startEvents; ev > 0 && b.Elapsed() > 0 {
 		b.ReportMetric(float64(ev)/b.Elapsed().Seconds(), "events/sec")
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ev), "ns/event")
+	}
+}
+
+// TestSwapAndComputeAllocs bounds the host allocations of the
+// BenchmarkEndToEndSwapAndCompute loop: the cold first op, which builds
+// the first engine and warms every pooled buffer, and the warm op.
+func TestSwapAndComputeAllocs(t *testing.T) {
+	_, op := newSwapLoop(t)
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	if err := op(0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms1)
+	cold := ms1.Mallocs - ms0.Mallocs
+	if cold > 4000 {
+		t.Errorf("cold swap-and-compute op allocated %d times, ceiling 4000", cold)
+	}
+
+	i := 1
+	warm := testing.AllocsPerRun(6, func() {
+		if err := op(i); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("swap-and-compute allocations: cold op %d, warm op %.0f", cold, warm)
+	if warm > 150 {
+		t.Errorf("warm swap-and-compute op allocated %.0f times, ceiling 150", warm)
 	}
 }

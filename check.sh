@@ -1,7 +1,7 @@
 #!/bin/sh
 # Pre-PR gate: build, vet, tests, race detector on the concurrency
 #-sensitive packages, the project lint rules, the golden-digest and
-# determinism gates, the benchmark-record smokes and the examples. Run
+# determinism gates, the BENCH_6 smoke, committed records, examples. Run
 # from the repo root before sending a PR; CI runs the same sequence.
 set -eu
 
@@ -25,10 +25,12 @@ echo '== rvcap-lint ./...'
 go run ./cmd/rvcap-lint ./...
 
 echo '== cycle equivalence: golden artifact digests'
-# Every regenerated table, sweep, VCD trace and image must hash to the
-# digests committed in testdata/golden_artifacts.txt, and the traced
-# scenario must fire the committed number of kernel events; a single
-# displaced event anywhere shows up here.
+# Every regenerated table, sweep, VCD trace and image, the streamed
+# steady-state board's Report and the 8-board fleet's Result (the same
+# with boards serial and fanned across cores) must hash to the digests
+# committed in testdata/golden_artifacts.txt, and the traced scenario
+# must fire the committed number of kernel events; a single displaced
+# event anywhere shows up here.
 go test -run TestGoldenArtifacts -count=1 .
 
 echo '== rvcap-bench parallel determinism + -json smoke'
@@ -81,47 +83,37 @@ go run ./cmd/benchcheck "$tmp/b6/BENCH_6.json"
 # show).
 go run ./cmd/benchcheck BENCH_6.json
 
-echo '== committed kernel records (BENCH_5.json, BENCH_8.json)'
-# The first- and second-round kernel records stay committed as history
-# and must keep passing their validators: BENCH_5's one run per queue
-# with identical event counts, BENCH_8's >= 3x per-core improvement
-# over the BENCH_5 baseline it quotes.
-go run ./cmd/benchcheck BENCH_5.json
-go run ./cmd/benchcheck -baseline BENCH_5.json BENCH_8.json
-
-echo '== rvcap-bench -steadyjson smoke (BENCH_9.json)'
-# The steady-state benchmark streams the job ladder through pooled
-# board runtimes and proves bounded memory (peak heap flat across a
-# 10x job step), replay determinism and the end-to-end allocs/op
-# ceiling. The committed record must hold the full gates; the smoke
-# run shrinks the ladder (-steadyscale) and runs one benchmark
-# iteration, so its one-time setup is amortised over far fewer jobs —
-# it uses a relaxed allocs ceiling and a relaxed heap ratio (tiny
-# rungs sit on the GC ramp, not at the steady-state asymptote) while
-# still catching a broken histogram, a lost digest match or a
-# regressed kernel. Its end-to-end rung must reach half of BENCH_8's
-# calendar events/sec (>= 2.04M), and its fleet rung runs the 8-board
-# fleet serial and parallel with matching digests.
-go run ./cmd/benchcheck -baseline BENCH_8.json BENCH_9.json
-"$tmp/rvcap-bench" -steadyjson -steadyscale 100 -benchiters 1 -steadybaseline BENCH_8.json -outdir "$tmp/b9" > /dev/null
-go run ./cmd/benchcheck -baseline BENCH_8.json -steady-allocs-ceiling 6000 -steady-heap-ratio 2.0 -steady-min-ratio 0.5 "$tmp/b9/BENCH_9.json"
+echo '== committed benchmark records (BENCH_5.json, BENCH_8.json, BENCH_9.json)'
+# The kernel and steady-state records stay committed as history and must
+# keep passing their validators: BENCH_5's one run per queue with
+# identical event counts, BENCH_8's >= 3x per-core improvement, BENCH_9's
+# bounded-memory ladder and end-to-end gates. A record that quotes a
+# baseline is cross-checked against the committed file its
+# data.baseline.source names (BENCH_8 -> BENCH_5, BENCH_9 -> BENCH_8).
+# The gates the retired steady-state smoke re-measured now live in
+# tier-1 tests: the replay and 8-board serial-vs-parallel fleet digests
+# in TestGoldenArtifacts ("steady" and "fleet" lines), the allocs/job
+# and peak-heap ladder in internal/sched TestStreamLadderBoundedMemory,
+# the end-to-end allocs/op ceiling in TestSwapAndComputeAllocs. Its
+# host-time floors belong to the same-host _perfbench A/B.
+go run ./cmd/benchcheck BENCH_5.json BENCH_8.json BENCH_9.json
 
 echo '== benchcheck -claims (doc headline numbers vs committed JSON)'
 # Every benchclaim-annotated number in the docs must match the committed
 # benchmark JSON it cites, so perf prose cannot drift from measurements.
 go run ./cmd/benchcheck -claims README.md -claims DESIGN.md
 
-echo '== rvcap-bench amorphous determinism + -fragjson (BENCH_7.json)'
+echo '== rvcap-bench amorphous determinism'
 # The placement sweep replays seeded request streams against both
-# partitioning models in independent cells, so its rows (and BENCH_7)
-# must not depend on the worker count; benchcheck then enforces the
-# headline claims (a mix fixed slots reject that amorphous serves with
-# zero failures, and defrag passes that lower fragmentation).
+# partitioning models in independent cells, so its rows must not depend
+# on the worker count. Its headline claims (a mix fixed slots reject
+# that amorphous serves with zero failures, defrag passes that lower
+# fragmentation) are tier-1 in internal/experiments
+# TestAmorphousSweepLadder, and its rendering is pinned by the
+# "amorphous" line of TestGoldenArtifacts.
 "$tmp/rvcap-bench" -experiment amorphous -parallel 1 -json -outdir "$tmp/a1" > /dev/null
 "$tmp/rvcap-bench" -experiment amorphous -parallel 4 -json -outdir "$tmp/a4" > /dev/null
 cmp "$tmp/a1/BENCH_amorphous.json" "$tmp/a4/BENCH_amorphous.json"
-"$tmp/rvcap-bench" -fragjson -outdir "$tmp/b7" > /dev/null
-go run ./cmd/benchcheck "$tmp/b7/BENCH_7.json"
 
 echo '== examples smoke'
 # The examples are documentation that compiles; keep the canonical ones

@@ -115,11 +115,14 @@ func parseClaim(body string) (claim, error) {
 			if err != nil {
 				return c, fmt.Errorf("benchclaim value %q: %v", v, err)
 			}
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return c, fmt.Errorf("benchclaim value %q must be finite", v)
+			}
 			c.value, haveValue = f, true
 		case "tol":
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
-				return c, fmt.Errorf("benchclaim tol %q must be a non-negative number", v)
+			if err != nil || !(f >= 0) || math.IsInf(f, 0) {
+				return c, fmt.Errorf("benchclaim tol %q must be a finite non-negative number", v)
 			}
 			c.tol = f
 		default:

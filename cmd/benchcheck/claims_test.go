@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,6 +90,21 @@ func TestCheckClaimsRejections(t *testing.T) {
 			"needs file=, path= and value=",
 		},
 		{
+			"NaN value",
+			"<!-- benchclaim file=BENCH.json path=data.speedup_vs_legacy value=NaN -->\n",
+			"must be finite",
+		},
+		{
+			"NaN tol",
+			"<!-- benchclaim file=BENCH.json path=data.speedup_vs_legacy value=6.6 tol=NaN -->\n",
+			"finite non-negative",
+		},
+		{
+			"infinite tol",
+			"<!-- benchclaim file=BENCH.json path=data.speedup_vs_legacy value=6.6 tol=Inf -->\n",
+			"finite non-negative",
+		},
+		{
 			"unterminated annotation",
 			"<!-- benchclaim file=BENCH.json path=data.speedup_vs_legacy value=1.1\n",
 			"unterminated",
@@ -105,4 +121,31 @@ func TestCheckClaimsRejections(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseClaim feeds arbitrary annotation bodies to the parser. The
+// committed corpus (testdata/fuzz/FuzzParseClaim) holds the bodies of
+// the README and DESIGN annotations plus non-finite value and tol
+// cases. parseClaim must never panic, and every claim it accepts must
+// name a file and a path, carry a finite value and a finite tol >= 0,
+// and verify against its own value.
+func FuzzParseClaim(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body string) {
+		c, err := parseClaim(body)
+		if err != nil {
+			return
+		}
+		if c.file == "" || c.path == "" {
+			t.Fatalf("parseClaim(%q) accepted a claim without file or path: %+v", body, c)
+		}
+		if math.IsNaN(c.value) || math.IsInf(c.value, 0) {
+			t.Fatalf("parseClaim(%q) accepted non-finite value %v", body, c.value)
+		}
+		if !(c.tol >= 0) || math.IsInf(c.tol, 0) {
+			t.Fatalf("parseClaim(%q) accepted tol %v, want finite and >= 0", body, c.tol)
+		}
+		if err := c.verify(c.value); err != nil {
+			t.Fatalf("parseClaim(%q) accepted a claim that fails against its own value: %v", body, err)
+		}
+	})
 }

@@ -1,5 +1,5 @@
-// Command benchcheck validates the benchmark JSON files rvcap-bench
-// produces, dispatching on the document's experiment field:
+// Command benchcheck validates the committed benchmark records,
+// dispatching on the document's experiment field:
 //
 //   - kernel-fastpath (BENCH_5.json, recorded by the retired
 //     -benchjson mode): exactly one run per event-queue implementation,
@@ -14,21 +14,22 @@
 //     scaling; those scaling assertions are downgraded to an annotated
 //     skip (printed, not silently dropped). A file that does not say
 //     how many cores recorded it is refused.
-//   - amorphous-frag (BENCH_7.json, from -fragjson): the placement
-//     sweep's headline claims — at least one module mix the fixed
-//     pre-cut slots reject that amorphous placement serves with zero
-//     failures, amorphous never failing more than fixed on any row,
-//     and every defrag pass that moved regions having lowered the
-//     external-fragmentation gauge.
 //   - kernel-cascade (BENCH_8.json, recorded by the retired
 //     -cascadejson mode): the second-round kernel record — queue
 //     equivalence as in kernel-fastpath, a per-core events/sec
-//     improvement over the BENCH_5 baseline of at least -min-ratio
-//     (recomputed from the file's own numbers, and cross-checked
-//     against the committed baseline when -baseline is given), and the
-//     fleet aggregate floor -aggregate-floor (skipped with an
-//     annotation when the recording host had fewer cores than fleet
-//     boards).
+//     improvement of at least x3 over its baseline, and the fleet
+//     aggregate floor (skipped with an annotation when the recording
+//     host had fewer cores than fleet boards).
+//   - runtime-steady (BENCH_9.json, recorded by the retired
+//     steady-state mode): the streaming ladder's bounded-memory and
+//     allocation gates, the replay-digest proof, the end-to-end
+//     allocs/op ceiling and events/sec ratio over its baseline, and the
+//     fleet rung as in kernel-cascade.
+//
+// A record that quotes a baseline names it in data.baseline.source;
+// the named file is resolved relative to the record and the quoted
+// calendar events/sec must match it, so a record cannot be re-based
+// silently.
 //
 // Documentation claims are gated too: every markdown file passed via
 // -claims is scanned for benchclaim annotations of the form
@@ -42,7 +43,7 @@
 //
 // Usage:
 //
-//	benchcheck [-baseline BENCH_5.json] [-min-ratio 3] [-aggregate-floor 1e7] [-claims doc.md]... <BENCH_*.json>...
+//	benchcheck [-claims doc.md]... [BENCH_*.json]...
 //
 // Exits 0 when every document and claim holds, 1 with a diagnostic when
 // one does not, 2 on usage or read errors.
@@ -53,13 +54,25 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 )
 
-// payload mirrors the slices of the BENCH_5/6/7/8 schemas the gates
-// care about (see cmd/rvcap-bench/benchjson.go, fleetjson.go and
-// cascadejson.go for the writers). The documents share the
-// experiment/data envelope; Runs carries the union of the runs' fields
-// and validation dispatches on Experiment.
+// The gates' thresholds. They are the values every committed record was
+// held to; a record is never re-validated against looser ones.
+const (
+	cascadeMinRatio     = 3.0  // kernel-cascade: per-core events/sec improvement floor over its baseline
+	aggregateFloor      = 1e7  // fleet rung: aggregate events/sec floor on a host with a core per board
+	steadyAllocsCeiling = 2000 // runtime-steady: end-to-end allocs/op ceiling
+	steadyHeapRatio     = 1.25 // runtime-steady: largest-vs-previous rung peak-heap ceiling
+	steadyMinRatio      = 1.0  // runtime-steady: end-to-end events/sec floor over its baseline
+)
+
+// payload mirrors the slices of the BENCH_5/6/8/9 schemas the gates
+// care about (cmd/rvcap-bench/fleetjson.go still writes BENCH_6; the
+// other three were written by retired modes and stay committed as
+// history). The documents share the experiment/data envelope; Runs
+// carries the union of the runs' fields and validation dispatches on
+// Experiment.
 type payload struct {
 	Experiment string `json:"experiment"`
 	Data       struct {
@@ -77,18 +90,6 @@ type payload struct {
 			Digest          string  `json:"digest"`
 			DigestsMatch    bool    `json:"digests_match"`
 			ScaleVsOneBoard float64 `json:"scale_vs_one_board"`
-			// amorphous-frag fields.
-			Mix                 string  `json:"mix"`
-			Policy              string  `json:"policy"`
-			Requests            int     `json:"requests"`
-			FixedFailed         int     `json:"fixed_failed"`
-			FixedFailRate       float64 `json:"fixed_fail_rate"`
-			AmorphousFailed     int     `json:"amorphous_failed"`
-			AmorphousFailRate   float64 `json:"amorphous_fail_rate"`
-			Defrags             int     `json:"defrags"`
-			FramesMoved         int     `json:"frames_moved"`
-			DefragFragBeforePct float64 `json:"defrag_frag_before_pct"`
-			DefragFragAfterPct  float64 `json:"defrag_frag_after_pct"`
 		} `json:"runs"`
 		// kernel-cascade / runtime-steady fields.
 		Baseline struct {
@@ -104,7 +105,7 @@ type payload struct {
 			AggregateEventsPerSec float64 `json:"aggregate_events_per_sec"`
 			DigestsMatch          bool    `json:"digests_match"`
 		} `json:"fleet"`
-		// runtime-steady fields (BENCH_9.json, from -steadyjson).
+		// runtime-steady fields (BENCH_9.json).
 		Ladder []struct {
 			Jobs          int     `json:"jobs"`
 			Events        uint64  `json:"events"`
@@ -127,16 +128,6 @@ type payload struct {
 	} `json:"data"`
 }
 
-// opts carries the gate thresholds and cross-file references.
-type opts struct {
-	baseline       string  // committed baseline JSON: BENCH_5 for kernel-cascade, BENCH_8 for runtime-steady
-	minRatio       float64 // per-core improvement floor for kernel-cascade
-	aggregateFloor float64 // fleet aggregate events/sec floor for kernel-cascade / runtime-steady
-	allocsCeiling  uint64  // runtime-steady: end-to-end allocs/op ceiling
-	heapRatio      float64 // runtime-steady: largest-vs-previous peak-heap ratio ceiling
-	steadyMinRatio float64 // runtime-steady: events/sec floor as a ratio over the BENCH_8 baseline
-}
-
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
@@ -151,19 +142,6 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("benchcheck", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	var claims claimsFlag
-	var o opts
-	fs.StringVar(&o.baseline, "baseline", "",
-		"committed BENCH_5.json to cross-check kernel-cascade baseline figures against")
-	fs.Float64Var(&o.minRatio, "min-ratio", 3.0,
-		"kernel-cascade: minimum per-core events/sec improvement over the BENCH_5 baseline")
-	fs.Float64Var(&o.aggregateFloor, "aggregate-floor", 1e7,
-		"kernel-cascade: minimum fleet aggregate events/sec (skipped with a note when host cores < fleet boards)")
-	fs.Uint64Var(&o.allocsCeiling, "steady-allocs-ceiling", 2000,
-		"runtime-steady: maximum end-to-end calendar allocs/op")
-	fs.Float64Var(&o.heapRatio, "steady-heap-ratio", 1.25,
-		"runtime-steady: maximum peak-heap ratio between the largest ladder rung and the one before it")
-	fs.Float64Var(&o.steadyMinRatio, "steady-min-ratio", 1.0,
-		"runtime-steady: minimum end-to-end events/sec as a ratio over the BENCH_8 baseline")
 	fs.Var(&claims, "claims",
 		"markdown file whose benchclaim annotations must match the committed JSON (repeatable)")
 	if err := fs.Parse(args); err != nil {
@@ -171,7 +149,7 @@ func run(args []string) int {
 	}
 	files := fs.Args()
 	if len(files) == 0 && len(claims) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: benchcheck [flags] <BENCH_*.json>...")
+		fmt.Fprintln(os.Stderr, "usage: benchcheck [-claims doc.md]... [BENCH_*.json]...")
 		return 2
 	}
 	for _, doc := range claims {
@@ -183,14 +161,14 @@ func run(args []string) int {
 		fmt.Printf("benchcheck: %s ok (%d documented claims match their committed JSON)\n", doc, n)
 	}
 	for _, file := range files {
-		if code := checkFile(file, &o); code != 0 {
+		if code := checkFile(file); code != 0 {
 			return code
 		}
 	}
 	return 0
 }
 
-func checkFile(path string, o *opts) int {
+func checkFile(path string) int {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcheck:", err)
@@ -201,7 +179,7 @@ func checkFile(path string, o *opts) int {
 		fmt.Fprintf(os.Stderr, "benchcheck: %s: invalid JSON: %v\n", path, err)
 		return 1
 	}
-	if err := validate(&p, o); err != nil {
+	if err := validate(&p, filepath.Dir(path)); err != nil {
 		fmt.Fprintf(os.Stderr, "benchcheck: %s: %v\n", path, err)
 		return 1
 	}
@@ -212,15 +190,6 @@ func checkFile(path string, o *opts) int {
 		last := p.Data.Runs[len(p.Data.Runs)-1]
 		fmt.Printf("benchcheck: %s ok (%d fleet sizes up to %d boards, all serial/parallel digests match)\n",
 			path, len(p.Data.Runs), last.Boards)
-	case "amorphous-frag":
-		clean := 0
-		for _, r := range p.Data.Runs {
-			if r.FixedFailed > 0 && r.AmorphousFailed == 0 {
-				clean++
-			}
-		}
-		fmt.Printf("benchcheck: %s ok (%d placement rows, %d served amorphously that fixed slots reject)\n",
-			path, len(p.Data.Runs), clean)
 	case "kernel-cascade":
 		fmt.Printf("benchcheck: %s ok (x%.2f per-core vs %s, %d events on both queues)\n",
 			path, p.Data.PerCoreImprovement, p.Data.Baseline.Source, p.Data.Runs[0].Events)
@@ -234,22 +203,21 @@ func checkFile(path string, o *opts) int {
 }
 
 // validate enforces the gates' contracts on the parsed document,
-// dispatching on the experiment field.
-func validate(p *payload, o *opts) error {
+// dispatching on the experiment field. dir is the record's directory,
+// against which a quoted baseline source is resolved.
+func validate(p *payload, dir string) error {
 	switch p.Experiment {
 	case "kernel-fastpath":
-		return validateFastpath(p)
+		return validateQueuePair(p)
 	case "fleet-throughput":
 		return validateFleet(p)
-	case "amorphous-frag":
-		return validateFrag(p)
 	case "kernel-cascade":
-		return validateCascade(p, o)
+		return validateCascade(p, dir)
 	case "runtime-steady":
-		return validateSteady(p, o)
+		return validateSteady(p, dir)
 	}
-	return fmt.Errorf("experiment = %q, want %q, %q, %q, %q or %q",
-		p.Experiment, "kernel-fastpath", "fleet-throughput", "amorphous-frag", "kernel-cascade", "runtime-steady")
+	return fmt.Errorf("experiment = %q, want %q, %q, %q or %q",
+		p.Experiment, "kernel-fastpath", "fleet-throughput", "kernel-cascade", "runtime-steady")
 }
 
 // validateQueuePair checks the shared kernel-benchmark contract: one
@@ -280,10 +248,6 @@ func validateQueuePair(p *payload) error {
 			a.Queue, a.Events, b.Queue, b.Events)
 	}
 	return nil
-}
-
-func validateFastpath(p *payload) error {
-	return validateQueuePair(p)
 }
 
 func validateFleet(p *payload) error {
@@ -331,47 +295,7 @@ func validateFleet(p *payload) error {
 	return nil
 }
 
-func validateFrag(p *payload) error {
-	runs := p.Data.Runs
-	if len(runs) < 2 {
-		return fmt.Errorf("got %d placement rows, want at least 2 to compare mixes", len(runs))
-	}
-	clean := false
-	for i, r := range runs {
-		id := fmt.Sprintf("row %d (%s/%s)", i, r.Mix, r.Policy)
-		if r.Mix == "" || r.Policy == "" {
-			return fmt.Errorf("row %d has no mix/policy labels", i)
-		}
-		if r.Requests <= 0 {
-			return fmt.Errorf("%s replayed %d requests, want > 0", id, r.Requests)
-		}
-		for _, rate := range []float64{r.FixedFailRate, r.AmorphousFailRate} {
-			if rate < 0 || rate > 1 {
-				return fmt.Errorf("%s has failure rate %v outside [0,1]", id, rate)
-			}
-		}
-		// The paper's claim is an ordering, not just a delta: amorphous
-		// placement never fails a request the fixed slots would serve.
-		if r.AmorphousFailed > r.FixedFailed {
-			return fmt.Errorf("%s: amorphous failed %d placements but fixed slots only %d",
-				id, r.AmorphousFailed, r.FixedFailed)
-		}
-		if r.FixedFailed > 0 && r.AmorphousFailed == 0 {
-			clean = true
-		}
-		// A compaction pass that moved regions must have been worth it.
-		if r.Defrags > 0 && r.FramesMoved > 0 && r.DefragFragBeforePct <= r.DefragFragAfterPct {
-			return fmt.Errorf("%s: defrag moved %d frames but fragmentation went %.1f%% -> %.1f%%",
-				id, r.FramesMoved, r.DefragFragBeforePct, r.DefragFragAfterPct)
-		}
-	}
-	if !clean {
-		return fmt.Errorf("no row where fixed slots reject placements (fixed_failed > 0) while amorphous serves all (amorphous_failed == 0)")
-	}
-	return nil
-}
-
-func validateCascade(p *payload, o *opts) error {
+func validateCascade(p *payload, dir string) error {
 	if err := validateQueuePair(p); err != nil {
 		return err
 	}
@@ -396,59 +320,22 @@ func validateCascade(p *payload, o *opts) error {
 			d.PerCoreImprovement, got)
 	}
 	// ...and clear the tentpole floor.
-	if got < o.minRatio {
+	if got < cascadeMinRatio {
 		return fmt.Errorf("per-core improvement x%.2f over %s is below the x%.2f floor",
-			got, d.Baseline.Source, o.minRatio)
+			got, d.Baseline.Source, cascadeMinRatio)
 	}
-	// Cross-check the quoted baseline against the committed document.
-	if o.baseline != "" {
-		raw, err := os.ReadFile(o.baseline)
-		if err != nil {
-			return fmt.Errorf("-baseline: %v", err)
-		}
-		var b payload
-		if err := json.Unmarshal(raw, &b); err != nil {
-			return fmt.Errorf("-baseline %s: %v", o.baseline, err)
-		}
-		var committed float64
-		for _, r := range b.Data.Runs {
-			if r.Queue == "calendar" {
-				committed = r.EventsPerSec
-			}
-		}
-		if committed <= 0 {
-			return fmt.Errorf("-baseline %s has no calendar events/sec", o.baseline)
-		}
-		if rel := (d.Baseline.CalendarEventsPerSec - committed) / committed; rel > 1e-6 || rel < -1e-6 {
-			return fmt.Errorf("baseline drift: file quotes %.0f calendar events/sec but %s holds %.0f — re-record BENCH_8 against the committed baseline",
-				d.Baseline.CalendarEventsPerSec, o.baseline, committed)
-		}
+	if err := checkBaseline(p, dir); err != nil {
+		return err
 	}
-	// Fleet aggregate rung.
-	f := &d.Fleet
-	if f.Boards <= 0 || f.Jobs <= 0 || f.Events == 0 {
-		return fmt.Errorf("fleet rung malformed: boards=%d jobs=%d events=%d", f.Boards, f.Jobs, f.Events)
-	}
-	if !f.DigestsMatch {
-		return fmt.Errorf("fleet of %d boards: serial and parallel per-board reports diverge", f.Boards)
-	}
-	if *d.HostCores < f.Boards {
-		fmt.Printf("benchcheck: note: skipping the %.0f aggregate events/sec floor — %d fleet boards recorded on a %d-core host cannot aggregate across cores\n",
-			o.aggregateFloor, f.Boards, *d.HostCores)
-	} else if f.AggregateEventsPerSec < o.aggregateFloor {
-		return fmt.Errorf("fleet aggregate %.0f events/sec on a %d-core host is below the %.0f floor",
-			f.AggregateEventsPerSec, *d.HostCores, o.aggregateFloor)
-	}
-	return nil
+	return checkFleetRung(p)
 }
 
 // validateSteady gates the BENCH_9 steady-state record: a growing
 // streaming ladder whose last 10x job step must not move peak heap
 // (bounded memory), a replay-digest determinism proof, the end-to-end
 // allocs/op ceiling, the events/sec no-regression ratio against the
-// committed BENCH_8 calendar figure, and the >= 1M-job fleet rung's
-// serial-vs-parallel digest match.
-func validateSteady(p *payload, o *opts) error {
+// committed BENCH_8 calendar figure, and the fleet rung.
+func validateSteady(p *payload, dir string) error {
 	d := &p.Data
 	if d.HostCores == nil || *d.HostCores <= 0 {
 		return fmt.Errorf("host_cores missing or <= 0")
@@ -495,9 +382,9 @@ func validateSteady(p *payload, o *opts) error {
 			d.PeakHeapRatio, got)
 	}
 	// ...and clear the bounded-memory ceiling.
-	if got > o.heapRatio {
+	if got > steadyHeapRatio {
 		return fmt.Errorf("peak heap grew x%.3f from %d to %d jobs, ceiling x%.2f — memory is not bounded over the stream",
-			got, prev.Jobs, last.Jobs, o.heapRatio)
+			got, prev.Jobs, last.Jobs, steadyHeapRatio)
 	}
 	if !d.ReplayDigestsMatch {
 		return fmt.Errorf("replay of the first rung produced a different report digest — the runtime is not deterministic")
@@ -511,8 +398,8 @@ func validateSteady(p *payload, o *opts) error {
 	if e.Iterations <= 0 || e.Events == 0 {
 		return fmt.Errorf("end-to-end rung malformed: iterations=%d events=%d", e.Iterations, e.Events)
 	}
-	if e.AllocsPerOp > o.allocsCeiling {
-		return fmt.Errorf("end-to-end %d allocs/op is above the %d ceiling", e.AllocsPerOp, o.allocsCeiling)
+	if e.AllocsPerOp > steadyAllocsCeiling {
+		return fmt.Errorf("end-to-end %d allocs/op is above the %d ceiling", e.AllocsPerOp, steadyAllocsCeiling)
 	}
 	if d.Baseline.CalendarEventsPerSec <= 0 {
 		return fmt.Errorf("baseline calendar_events_per_sec = %v, want > 0 (baseline source %q)",
@@ -523,49 +410,66 @@ func validateSteady(p *payload, o *opts) error {
 		return fmt.Errorf("events_per_sec_vs_baseline = %.3f but end_to_end/baseline give %.3f — stale or hand-edited",
 			d.EventsPerSecVsBaseline, ratio)
 	}
-	if ratio < o.steadyMinRatio {
+	if ratio < steadyMinRatio {
 		return fmt.Errorf("end-to-end events/sec is x%.3f of the %s calendar figure, floor x%.2f — steady-state work regressed the kernel",
-			ratio, d.Baseline.Source, o.steadyMinRatio)
+			ratio, d.Baseline.Source, steadyMinRatio)
 	}
-	// Cross-check the quoted baseline against the committed BENCH_8.
-	if o.baseline != "" {
-		raw, err := os.ReadFile(o.baseline)
-		if err != nil {
-			return fmt.Errorf("-baseline: %v", err)
-		}
-		var b payload
-		if err := json.Unmarshal(raw, &b); err != nil {
-			return fmt.Errorf("-baseline %s: %v", o.baseline, err)
-		}
-		var committed float64
-		for _, r := range b.Data.Runs {
-			if r.Queue == "calendar" {
-				committed = r.EventsPerSec
-			}
-		}
-		if committed <= 0 {
-			return fmt.Errorf("-baseline %s has no calendar events/sec", o.baseline)
-		}
-		if rel := (d.Baseline.CalendarEventsPerSec - committed) / committed; rel > 1e-6 || rel < -1e-6 {
-			return fmt.Errorf("baseline drift: file quotes %.0f calendar events/sec but %s holds %.0f — re-record BENCH_9 against the committed baseline",
-				d.Baseline.CalendarEventsPerSec, o.baseline, committed)
+	if err := checkBaseline(p, dir); err != nil {
+		return err
+	}
+	return checkFleetRung(p)
+}
+
+// checkBaseline cross-checks the calendar events/sec a record quotes
+// against the committed record its data.baseline.source names, resolved
+// relative to dir.
+func checkBaseline(p *payload, dir string) error {
+	quoted := p.Data.Baseline
+	if quoted.Source == "" {
+		return fmt.Errorf("baseline source missing")
+	}
+	path := filepath.Join(dir, quoted.Source)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("baseline: %v", err)
+	}
+	var b payload
+	if err := json.Unmarshal(raw, &b); err != nil {
+		return fmt.Errorf("baseline %s: %v", quoted.Source, err)
+	}
+	var committed float64
+	for _, r := range b.Data.Runs {
+		if r.Queue == "calendar" {
+			committed = r.EventsPerSec
 		}
 	}
-	// Fleet rung: the merged-histogram path at fleet scale, with the
-	// serial-vs-parallel digest proof.
-	f := &d.Fleet
+	if committed <= 0 {
+		return fmt.Errorf("baseline %s has no calendar events/sec", quoted.Source)
+	}
+	if rel := (quoted.CalendarEventsPerSec - committed) / committed; rel > 1e-6 || rel < -1e-6 {
+		return fmt.Errorf("baseline drift: file quotes %.0f calendar events/sec but %s holds %.0f — re-record against the committed baseline",
+			quoted.CalendarEventsPerSec, quoted.Source, committed)
+	}
+	return nil
+}
+
+// checkFleetRung gates a record's fleet rung: a well-formed run whose
+// serial and parallel per-board reports matched, and the aggregate
+// events/sec floor when the recording host had a core per board.
+func checkFleetRung(p *payload) error {
+	f, cores := &p.Data.Fleet, *p.Data.HostCores
 	if f.Boards <= 0 || f.Jobs <= 0 || f.Events == 0 {
 		return fmt.Errorf("fleet rung malformed: boards=%d jobs=%d events=%d", f.Boards, f.Jobs, f.Events)
 	}
 	if !f.DigestsMatch {
 		return fmt.Errorf("fleet of %d boards: serial and parallel per-board reports diverge", f.Boards)
 	}
-	if *d.HostCores < f.Boards {
+	if cores < f.Boards {
 		fmt.Printf("benchcheck: note: skipping the %.0f aggregate events/sec floor — %d fleet boards recorded on a %d-core host cannot aggregate across cores\n",
-			o.aggregateFloor, f.Boards, *d.HostCores)
-	} else if f.AggregateEventsPerSec < o.aggregateFloor {
+			aggregateFloor, f.Boards, cores)
+	} else if f.AggregateEventsPerSec < aggregateFloor {
 		return fmt.Errorf("fleet aggregate %.0f events/sec on a %d-core host is below the %.0f floor",
-			f.AggregateEventsPerSec, *d.HostCores, o.aggregateFloor)
+			f.AggregateEventsPerSec, cores, aggregateFloor)
 	}
 	return nil
 }

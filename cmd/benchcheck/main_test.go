@@ -2,14 +2,25 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// defaultOpts mirrors the flag defaults run() would hand validate.
-func defaultOpts() *opts {
-	return &opts{minRatio: 3.0, aggregateFloor: 1e7,
-		allocsCeiling: 2000, heapRatio: 1.25, steadyMinRatio: 1.0}
+// baselineDir lays out the baseline records the cascade and steady
+// fixtures below quote (BENCH_5.json at 1.2M calendar events/sec,
+// BENCH_8.json at 4.08M) and returns their directory.
+func baselineDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, eps := range map[string]string{"BENCH_5.json": "1200000", "BENCH_8.json": "4080000"} {
+		src := `{"data":{"runs":[{"queue":"legacy","events_per_sec":1},{"queue":"calendar","events_per_sec":` + eps + `}]}}`
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
 }
 
 // doc builds a payload from a JSON literal, failing the test on bad
@@ -35,7 +46,7 @@ const goodDoc = `{
 }`
 
 func TestValidateGood(t *testing.T) {
-	if err := validate(doc(t, goodDoc), defaultOpts()); err != nil {
+	if err := validate(doc(t, goodDoc), baselineDir(t)); err != nil {
 		t.Fatalf("validate(good) = %v", err)
 	}
 }
@@ -82,7 +93,7 @@ func TestValidateRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validate(doc(t, tc.src), defaultOpts())
+			err := validate(doc(t, tc.src), baselineDir(t))
 			if err == nil {
 				t.Fatal("validate accepted a bad document")
 			}
@@ -107,7 +118,7 @@ const goodFleetDoc = `{
 }`
 
 func TestValidateFleetGood(t *testing.T) {
-	if err := validate(doc(t, goodFleetDoc), defaultOpts()); err != nil {
+	if err := validate(doc(t, goodFleetDoc), baselineDir(t)); err != nil {
 		t.Fatalf("validate(good fleet) = %v", err)
 	}
 }
@@ -156,99 +167,9 @@ func TestValidateFleetRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validate(doc(t, tc.src), defaultOpts())
+			err := validate(doc(t, tc.src), baselineDir(t))
 			if err == nil {
 				t.Fatal("validate accepted a bad fleet document")
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("error = %q, want substring %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-const goodFragDoc = `{
-  "experiment": "amorphous-frag",
-  "data": {
-    "benchmark": "AmorphousPlacement",
-    "runs": [
-      {"mix": "narrow", "policy": "first-fit", "requests": 64,
-       "fixed_failed": 0, "fixed_fail_rate": 0,
-       "amorphous_failed": 0, "amorphous_fail_rate": 0},
-      {"mix": "balanced", "policy": "first-fit", "requests": 64,
-       "fixed_failed": 12, "fixed_fail_rate": 0.1875,
-       "amorphous_failed": 0, "amorphous_fail_rate": 0,
-       "defrags": 1, "frames_moved": 180,
-       "defrag_frag_before_pct": 62.5, "defrag_frag_after_pct": 0},
-      {"mix": "gaussian-heavy", "policy": "first-fit", "requests": 64,
-       "fixed_failed": 50, "fixed_fail_rate": 0.78125,
-       "amorphous_failed": 8, "amorphous_fail_rate": 0.125,
-       "defrags": 8, "frames_moved": 0}
-    ]
-  }
-}`
-
-func TestValidateFragGood(t *testing.T) {
-	if err := validate(doc(t, goodFragDoc), defaultOpts()); err != nil {
-		t.Fatalf("validate(good frag) = %v", err)
-	}
-}
-
-func TestValidateFragRejections(t *testing.T) {
-	cases := []struct {
-		name, src, wantErr string
-	}{
-		{
-			"no amorphous win",
-			strings.Replace(goodFragDoc, `"amorphous_failed": 0, "amorphous_fail_rate": 0,
-       "defrags": 1`, `"amorphous_failed": 2, "amorphous_fail_rate": 0.03125,
-       "defrags": 1`, 1),
-			"no row where fixed slots reject",
-		},
-		{
-			"amorphous worse than fixed",
-			strings.Replace(goodFragDoc, `"fixed_failed": 0, "fixed_fail_rate": 0,
-       "amorphous_failed": 0`, `"fixed_failed": 0, "fixed_fail_rate": 0,
-       "amorphous_failed": 3`, 1),
-			"but fixed slots only",
-		},
-		{
-			"defrag raised fragmentation",
-			strings.Replace(goodFragDoc, `"defrag_frag_before_pct": 62.5, "defrag_frag_after_pct": 0`,
-				`"defrag_frag_before_pct": 10, "defrag_frag_after_pct": 40`, 1),
-			"fragmentation went",
-		},
-		{
-			"rate out of range",
-			strings.Replace(goodFragDoc, `"fixed_fail_rate": 0.78125`, `"fixed_fail_rate": 1.5`, 1),
-			"outside [0,1]",
-		},
-		{
-			"missing labels",
-			strings.Replace(goodFragDoc, `"mix": "narrow", "policy": "first-fit", `, ``, 1),
-			"no mix/policy labels",
-		},
-		{
-			"zero requests",
-			strings.Replace(goodFragDoc, `"policy": "first-fit", "requests": 64,
-       "fixed_failed": 0`, `"policy": "first-fit", "requests": 0,
-       "fixed_failed": 0`, 1),
-			"0 requests",
-		},
-		{
-			"single row",
-			`{"experiment":"amorphous-frag","data":{"runs":[
-				{"mix":"balanced","policy":"first-fit","requests":64,
-				 "fixed_failed":12,"fixed_fail_rate":0.1875,
-				 "amorphous_failed":0,"amorphous_fail_rate":0}]}}`,
-			"at least 2",
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := validate(doc(t, tc.src), defaultOpts())
-			if err == nil {
-				t.Fatal("validate accepted a bad placement document")
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("error = %q, want substring %q", err, tc.wantErr)
@@ -264,7 +185,7 @@ func TestValidateFleetCoreStarvedSkipsScaling(t *testing.T) {
 	src := strings.Replace(goodFleetDoc, `"host_cores": 4`, `"host_cores": 1`, 1)
 	src = strings.Replace(src, `"scale_vs_one_board": 1.7`, `"scale_vs_one_board": 0.9`, 1)
 	src = strings.Replace(src, `"scale_vs_one_board": 3.1`, `"scale_vs_one_board": 1.0`, 1)
-	if err := validate(doc(t, src), defaultOpts()); err != nil {
+	if err := validate(doc(t, src), baselineDir(t)); err != nil {
 		t.Fatalf("validate(1-core fleet) = %v, want annotated skip", err)
 	}
 }
@@ -286,7 +207,7 @@ const goodCascadeDoc = `{
 }`
 
 func TestValidateCascadeGood(t *testing.T) {
-	if err := validate(doc(t, goodCascadeDoc), defaultOpts()); err != nil {
+	if err := validate(doc(t, goodCascadeDoc), baselineDir(t)); err != nil {
 		t.Fatalf("validate(good cascade) = %v", err)
 	}
 }
@@ -296,7 +217,7 @@ func TestValidateCascadeGood(t *testing.T) {
 func TestValidateCascadeCoreStarvedSkipsAggregate(t *testing.T) {
 	src := strings.Replace(goodCascadeDoc, `"host_cores": 16`, `"host_cores": 1`, 1)
 	src = strings.Replace(src, `"aggregate_events_per_sec": 12000000`, `"aggregate_events_per_sec": 900000`, 1)
-	if err := validate(doc(t, src), defaultOpts()); err != nil {
+	if err := validate(doc(t, src), baselineDir(t)); err != nil {
 		t.Fatalf("validate(1-core cascade) = %v, want annotated aggregate skip", err)
 	}
 }
@@ -347,10 +268,27 @@ func TestValidateCascadeRejections(t *testing.T) {
 				`"calendar", "iterations": 5, "events": 223430`, 1),
 			"diverge",
 		},
+		{
+			"baseline drift",
+			strings.Replace(strings.Replace(goodCascadeDoc,
+				`"calendar_events_per_sec": 1200000`, `"calendar_events_per_sec": 1300000`, 1),
+				`"per_core_improvement_vs_baseline": 3.5`, `"per_core_improvement_vs_baseline": 3.23`, 1),
+			"baseline drift",
+		},
+		{
+			"baseline source not committed",
+			strings.Replace(goodCascadeDoc, `"source": "BENCH_5.json"`, `"source": "BENCH_4.json"`, 1),
+			"BENCH_4.json",
+		},
+		{
+			"baseline source missing",
+			strings.Replace(goodCascadeDoc, `"source": "BENCH_5.json", `, ``, 1),
+			"baseline source missing",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validate(doc(t, tc.src), defaultOpts())
+			err := validate(doc(t, tc.src), baselineDir(t))
 			if err == nil {
 				t.Fatal("validate accepted a bad cascade document")
 			}
@@ -386,7 +324,7 @@ const goodSteadyDoc = `{
 }`
 
 func TestValidateSteadyGood(t *testing.T) {
-	if err := validate(doc(t, goodSteadyDoc), defaultOpts()); err != nil {
+	if err := validate(doc(t, goodSteadyDoc), baselineDir(t)); err != nil {
 		t.Fatalf("validate(good steady) = %v", err)
 	}
 }
@@ -467,6 +405,13 @@ func TestValidateSteadyRejections(t *testing.T) {
 			"want calendar",
 		},
 		{
+			"baseline drift",
+			strings.Replace(strings.Replace(goodSteadyDoc,
+				`"calendar_events_per_sec": 4080000`, `"calendar_events_per_sec": 4000000`, 1),
+				`"events_per_sec_vs_baseline": 1.007`, `"events_per_sec_vs_baseline": 1.0275`, 1),
+			"baseline drift",
+		},
+		{
 			"fleet digests diverge",
 			strings.Replace(goodSteadyDoc,
 				`"aggregate_events_per_sec": 5200000, "digests_match": true`,
@@ -476,7 +421,7 @@ func TestValidateSteadyRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validate(doc(t, tc.src), defaultOpts())
+			err := validate(doc(t, tc.src), baselineDir(t))
 			if err == nil {
 				t.Fatal("validate accepted a bad steady document")
 			}
@@ -484,5 +429,15 @@ func TestValidateSteadyRejections(t *testing.T) {
 				t.Errorf("error = %q, want substring %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// Every committed record passes its validator, baseline cross-checks
+// included.
+func TestCommittedRecords(t *testing.T) {
+	for _, name := range []string{"BENCH_5.json", "BENCH_6.json", "BENCH_8.json", "BENCH_9.json"} {
+		if code := checkFile(filepath.Join("..", "..", name)); code != 0 {
+			t.Errorf("checkFile(%s) = %d, want 0", name, code)
+		}
 	}
 }

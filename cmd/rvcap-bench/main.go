@@ -10,8 +10,6 @@
 //	rvcap-bench -experiment sched -seed 7          # scheduling sweep, custom seed
 //	rvcap-bench -experiment fig3 -json -outdir out # also write BENCH_fig3.json
 //	rvcap-bench -fleetjson -outdir out             # fleet weak-scaling bench -> BENCH_6.json
-//	rvcap-bench -fragjson -outdir out              # amorphous placement sweep -> BENCH_7.json
-//	rvcap-bench -steadyjson -outdir out            # steady-state streaming bench -> BENCH_9.json
 //	rvcap-bench -experiment fleet -parallel 4      # cluster sweep, boards on 4 workers
 //	rvcap-bench -experiment table4 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //
@@ -213,19 +211,9 @@ func main() {
 	jsonOut := flag.Bool("json", false,
 		"also write machine-readable BENCH_<experiment>.json files to -outdir")
 	outDir := flag.String("outdir", ".", "directory for -json output files")
-	benchIters := flag.Int("benchiters", 3, "end-to-end swap+compute iterations for -steadyjson")
 	fleetJSON := flag.Bool("fleetjson", false,
 		"run the fleet weak-scaling benchmark (board ladder, serial vs parallel digests) and write BENCH_6.json to -outdir instead of running experiments")
 	fleetJobs := flag.Int("fleetjobs", 600, "jobs per board for -fleetjson")
-	steadyJSON := flag.Bool("steadyjson", false,
-		"run the steady-state streaming benchmark (single-board job ladder + end-to-end + >=1M-job fleet rung, vs the committed BENCH_8 baseline) and write BENCH_9.json to -outdir instead of running experiments")
-	steadyBase := flag.String("steadybaseline", "BENCH_8.json",
-		"committed kernel-cascade baseline for -steadyjson")
-	steadyScale := flag.Int("steadyscale", 1,
-		"divide every -steadyjson ladder rung by this factor (smoke runs; the committed record uses 1)")
-	fragJSON := flag.Bool("fragjson", false,
-		"run the amorphous placement sweep (fixed pre-cut slots vs frame-granular allocator) and write BENCH_7.json to -outdir instead of running experiments")
-	fragReqs := flag.Int("fragreqs", 0, "requests per cell for -fragjson (0 = sweep default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -271,20 +259,6 @@ func main() {
 	if *fleetJSON {
 		if err := runFleetJSON(*outDir, *fleetJobs, runtime.NumCPU()); err != nil {
 			fmt.Fprintf(os.Stderr, "rvcap-bench: -fleetjson: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *steadyJSON {
-		if err := runSteadyJSON(*outDir, *benchIters, runtime.NumCPU(), *steadyScale, *steadyBase); err != nil {
-			fmt.Fprintf(os.Stderr, "rvcap-bench: -steadyjson: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fragJSON {
-		if err := runFragJSON(*outDir, *fragReqs, *parallel); err != nil {
-			fmt.Fprintf(os.Stderr, "rvcap-bench: -fragjson: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -4,13 +4,16 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
 	"strings"
 	"testing"
 
+	"rvcap/internal/cluster"
 	"rvcap/internal/experiments"
+	"rvcap/internal/sched"
 )
 
 // goldenPath holds the committed digests TestGoldenArtifacts checks.
@@ -18,8 +21,10 @@ const goldenPath = "testdata/golden_artifacts.txt"
 
 // renderEquivalenceArtifacts regenerates every paper artifact the repo
 // produces — Table 1/2/4, the Fig. 3 sweep (RV-CAP and AXI_HWICAP
-// series), the scheduling sweep, the faults sweep — plus the full VCD
-// trace and filtered image of the determinism scenario. It returns one
+// series), the scheduling sweep, the faults sweep, the amorphous
+// placement sweep — plus the full VCD trace and filtered image of the
+// determinism scenario, the Report of a streamed steady-state board and
+// the Result of an eight-board fleet. It returns one
 // golden line value per artifact keyed by name: the SHA-256 of the
 // artifact's bytes, and for "events" the kernel event count of the
 // traced scenario.
@@ -63,6 +68,15 @@ func renderEquivalenceArtifacts(t *testing.T) map[string]string {
 	}
 	raw["faults"] = []byte(experiments.FormatFaults(faults))
 
+	amorphous, err := experiments.Amorphous(experiments.AmorphousOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw["amorphous"] = []byte(experiments.FormatAmorphous(amorphous))
+
+	raw["steady"] = renderSteadyStream(t)
+	raw["fleet"] = renderFleet(t)
+
 	var events uint64
 	raw["vcd"], raw["image"], events = runTracedScenario(t)
 
@@ -72,6 +86,62 @@ func renderEquivalenceArtifacts(t *testing.T) map[string]string {
 		out[name] = hex.EncodeToString(sum[:])
 	}
 	return out
+}
+
+// renderSteadyStream returns the JSON Report of a 1,000-job stream
+// through the steady-state board (two fixed partitions, eight cache
+// slots, 60% load, 45% module locality), recycled records and all.
+func renderSteadyStream(t *testing.T) []byte {
+	t.Helper()
+	board, err := sched.NewBoard("B0", sched.Config{RPs: 2, CacheSlots: 8, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := sched.Workload{Seed: 11, Jobs: 1000, Load: 0.60, RPs: 2, Locality: 0.45}.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := board.RunStream(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// renderFleet returns the JSON Result of an eight-board least-loaded
+// fleet (16 tenants, 125 jobs per board at 85% load) with the boards
+// run serially, after checking that fanning them across every host core
+// gives the byte-identical Result.
+func renderFleet(t *testing.T) []byte {
+	t.Helper()
+	cfg := cluster.Config{
+		Seed:    11,
+		Boards:  8,
+		Policy:  cluster.LeastLoaded,
+		Tenants: 16,
+		Jobs:    125 * 8,
+		Load:    0.85,
+		Board:   sched.Config{RPs: 2, CacheSlots: 4},
+	}
+	var out [2][]byte
+	for i, workers := range []int{1, 0} {
+		cfg.Workers = workers
+		res, err := cluster.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[i], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(out[0]) != string(out[1]) {
+		t.Errorf("fleet Result with Workers: 0 differs from Workers: 1 — board runs depend on the host worker count")
+	}
+	return out[0]
 }
 
 // readGolden parses the committed "name value" lines, skipping blank

@@ -30,8 +30,16 @@ func TestAmorphousSweepLadder(t *testing.T) {
 
 	fixedByMix := map[string]int{}
 	for _, p := range pts {
+		if p.Mix == "" || p.Policy == "" {
+			t.Fatalf("row without mix/policy labels: %+v", p)
+		}
 		if p.Requests == 0 {
 			t.Fatalf("%s/%s: empty stream", p.Mix, p.Policy)
+		}
+		for _, rate := range []float64{p.FixedFailRate, p.AmorphousFailRate} {
+			if rate < 0 || rate > 1 {
+				t.Errorf("%s/%s: failure rate %v outside [0,1]", p.Mix, p.Policy, rate)
+			}
 		}
 		// Amorphous placement must never do worse than the fixed cut.
 		if p.AmorphousFailed > p.FixedFailed {
